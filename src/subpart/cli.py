@@ -1,7 +1,9 @@
 """Command line interface.
 
-Commands: count, chains, pn, bound, maximize, table, shape, verify.  Every
-command takes --format {text,json,csv}, --out, --jobs, --cap, and --seed.
+Commands: count, pn, bound, maximize, table, shape, verify.  Each command
+accepts only the flags its handler reads: every command takes --format and
+--out (shape and verify render only text and json); the scans (maximize,
+table, shape) add --jobs and --cap; verify adds --jobs and --seed.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """
@@ -49,21 +51,25 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text",
+def _output_flags(formats: list[str]) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--format", choices=formats, default="text",
         help="output format (default text)",
     )
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument(
+    parent.add_argument("--out", help="write output to this path instead of stdout")
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    output = _output_flags(["text", "json", "csv"])
+    text_or_json = _output_flags(["text", "json"])
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
         help="enumeration cap on p(n)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="seed for randomized verification checks",
     )
 
     parser = argparse.ArgumentParser(
@@ -73,43 +79,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="count subpartitions or k-chains")
+    p_count = sub.add_parser("count", parents=[output], help="count subpartitions or k-chains")
     p_count.add_argument("partition", help='comma-separated parts, e.g. "4,2,1"; "" is empty')
     p_count.add_argument("--k", type=int, default=1, help="chain length (default 1)")
     p_count.add_argument("--strict", action="store_true", help="forbid equal consecutive chain elements")
     p_count.set_defaults(handler=cmd_count)
 
-    p_chains = sub.add_parser("chains", parents=[common], help="count k-chains (count with --k required)")
-    p_chains.add_argument("partition")
-    p_chains.add_argument("--k", type=int, required=True)
-    p_chains.add_argument("--strict", action="store_true")
-    p_chains.set_defaults(handler=cmd_count)
-
-    p_pn = sub.add_parser("pn", parents=[common], help="partition numbers p(n)")
+    p_pn = sub.add_parser("pn", parents=[output], help="partition numbers p(n)")
     p_pn.add_argument("n", type=int)
     p_pn.set_defaults(handler=cmd_pn)
 
-    p_bound = sub.add_parser("bound", parents=[common], help="envelope bound on the subpartition count")
+    p_bound = sub.add_parser("bound", parents=[output], help="envelope bound on the subpartition count")
     p_bound.add_argument("partition")
     p_bound.set_defaults(handler=cmd_bound)
 
-    p_max = sub.add_parser("maximize", parents=[common], help="find all count-maximizing partitions of n")
+    p_max = sub.add_parser("maximize", parents=[output, jobs, cap], help="find all count-maximizing partitions of n")
     p_max.add_argument("--n", type=int, required=True)
     p_max.add_argument("--k", type=int, default=1)
     p_max.set_defaults(handler=cmd_maximize)
 
-    p_table = sub.add_parser("table", parents=[common], help="maximizer reports over a range of n")
+    p_table = sub.add_parser("table", parents=[output, jobs, cap], help="maximizer reports over a range of n")
     p_table.add_argument("--n", required=True, help='range such as "1-12" or "4,9,16"')
     p_table.add_argument("--k", type=int, default=1)
     p_table.set_defaults(handler=cmd_table)
 
-    p_shape = sub.add_parser("shape", parents=[common], help="SVG of the maximizer shape against the limit curve")
+    p_shape = sub.add_parser("shape", parents=[text_or_json, jobs, cap], help="SVG of the maximizer shape against the limit curve")
     p_shape.add_argument("--n", type=int, required=True)
     p_shape.add_argument("--k", type=int, default=1)
     p_shape.set_defaults(handler=cmd_shape)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the self-verification suites")
+    p_verify = sub.add_parser("verify", parents=[text_or_json, jobs], help="run the self-verification suites")
     p_verify.add_argument("--level", choices=["fast", "full"], default="fast")
+    p_verify.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="seed for randomized verification checks",
+    )
     p_verify.set_defaults(handler=cmd_verify)
 
     return parser
@@ -123,16 +127,6 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _csv_lines(rows: list[list[str]]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_count(args) -> int:
     lam = parse_partition(args.partition)
     if args.k == 1 and not args.strict:
@@ -143,7 +137,7 @@ def cmd_count(args) -> int:
         _emit(render.to_json(render.count_payload(result)), args)
     elif args.format == "csv":
         _emit(
-            _csv_lines(
+            render.csv_lines(
                 [
                     ["partition", "k", "strict", "value", "method"],
                     [
@@ -167,7 +161,7 @@ def cmd_pn(args) -> int:
     if args.format == "json":
         _emit(render.to_json(render.count_payload(result)), args)
     elif args.format == "csv":
-        _emit(_csv_lines([["n", "value"], [str(args.n), str(result.value)]]), args)
+        _emit(render.csv_lines([["n", "value"], [str(args.n), str(result.value)]]), args)
     else:
         _emit(f"{result.value}\n", args)
     return 0
@@ -180,7 +174,7 @@ def cmd_bound(args) -> int:
         _emit(render.to_json(render.bound_payload(format_partition(lam), bound)), args)
     elif args.format == "csv":
         _emit(
-            _csv_lines(
+            render.csv_lines(
                 [
                     ["partition", "log_bound", "bound"],
                     [format_partition(lam), repr(bound.log_value), repr(bound.value)],

@@ -1,18 +1,19 @@
 """Exact counting of subpartitions, nested chains, and bridge paths.
 
-Everything here is integer-exact (Python arbitrary precision).  The three
-counting routes are deliberately redundant: a row DP over part values, a
-column DP over bridge paths below the profile, and chain DPs; they count
-the same objects through different bijections and are cross-checked in the
-test suite.  Bounds derived from the profile's convex envelope are carried
-in log space.
+Everything here is integer-exact (Python arbitrary precision).  There is
+one route per object: a row DP over part values for subpartitions, a
+column DP over bridge paths below the profile, and a column transfer DP
+over nested bridges for k-chains.  The first two count the same objects
+through different bijections; all three are cross-checked against each
+other and against the reference implementations in ``subpart.oracles``.
+Bounds derived from the profile's convex envelope are carried in log
+space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 from .envelope import DiscreteFunction, lower_convex_envelope
@@ -24,10 +25,7 @@ DEFAULT_STATE_CAP = 1_000_000
 ROW_DP = "row-dp"
 BRIDGE_DP = "bridge-dp"
 TRANSFER_CHAIN = "transfer-chain"
-MEMOIZED_CHAIN = "memoized-chain"
-BRUTE_FORCE = "brute-force"
 PENTAGONAL_ITERATIVE = "pentagonal-iterative"
-PENTAGONAL_MEMOIZED = "pentagonal-memoized"
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,6 @@ def count_kchains(
     lam: Partition,
     k: int,
     strict: bool = False,
-    method: str = TRANSFER_CHAIN,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> CountResult:
     """Number of nested chains mu_k <= ... <= mu_1 <= lam of length k.
@@ -105,28 +102,21 @@ def count_kchains(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if method not in (TRANSFER_CHAIN, MEMOIZED_CHAIN):
-        raise ValueError(f"unknown chain method {method!r}")
-    weak = _weak_counter(lam, method, state_cap)
+    prof = profile(lam)
     if not strict:
-        value = weak(k)
+        value = _weak_chains_transfer(prof, k, state_cap)
     else:
         value = sum(
-            (-1) ** (k - m) * math.comb(k - 1, m - 1) * weak(m)
+            (-1) ** (k - m)
+            * math.comb(k - 1, m - 1)
+            * _weak_chains_transfer(prof, m, state_cap)
             for m in range(1, k + 1)
         )
     return CountResult(
         value=value,
-        method=method,
+        method=TRANSFER_CHAIN,
         params={"partition": format_partition(lam), "k": k, "strict": strict},
     )
-
-
-def _weak_counter(lam, method, state_cap):
-    if method == TRANSFER_CHAIN:
-        prof = profile(lam)
-        return lambda m: _weak_chains_transfer(prof, m, state_cap)
-    return lambda m: _weak_chains_memoized(lam.parts, m)
 
 
 def _weak_chains_transfer(prof: LatticeProfile, k: int, state_cap: int) -> int:
@@ -159,34 +149,11 @@ def _weak_chains_transfer(prof: LatticeProfile, k: int, state_cap: int) -> int:
     return ways.get((abs(prof.hi),) * k, 1 if prof.lo == prof.hi else 0)
 
 
-@lru_cache(maxsize=None)
-def _weak_chains_memoized(parts: tuple[int, ...], k: int) -> int:
-    # oracle-duty recursion: chains below lam of length k sum the chains of
-    # length k-1 below each subpartition
-    if k == 0:
-        return 1
-    return sum(_weak_chains_memoized(mu, k - 1) for mu in subpartitions(parts))
-
-
-def subpartitions(parts: tuple[int, ...]):
-    """Yield all subpartitions of a part tuple, largest-first."""
-
-    def rec(i: int, prev: int):
-        if i == len(parts):
-            yield ()
-            return
-        for v in range(min(prev, parts[i]), -1, -1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for padded in rec(0, parts[0] if parts else 0):
-        yield tuple(p for p in padded if p)
-
-
 @dataclass(frozen=True)
 class EnvelopeBound:
     """Upper bound exp(sum of growth rates along the profile's convex
-    envelope), kept in log space."""
+    envelope), kept in log space; value is math.inf once the bound is
+    past the largest float."""
 
     log_value: float
     value: float
@@ -202,24 +169,20 @@ def envelope_count_bound(prof: LatticeProfile) -> EnvelopeBound:
     log_value = 0.0
     for d in env.increments():
         log_value += growth_rate(max(-1.0, min(1.0, d)))
-    return EnvelopeBound(log_value=log_value, value=math.exp(log_value))
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    return EnvelopeBound(log_value=log_value, value=value)
 
 
-def partition_count(n: int, method: str = PENTAGONAL_ITERATIVE) -> CountResult:
-    """p(n) by Euler's pentagonal-number recurrence.
-
-    Two independent implementations, an iterative table and a memoized
-    recursion, selected by method; they must agree everywhere.
-    """
+def partition_count(n: int) -> CountResult:
+    """p(n) by Euler's pentagonal-number recurrence, tabulated upward."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method == PENTAGONAL_ITERATIVE:
-        value = _pentagonal_iterative(n)
-    elif method == PENTAGONAL_MEMOIZED:
-        value = _pentagonal_memoized(n)
-    else:
-        raise ValueError(f"unknown partition-count method {method!r}")
-    return CountResult(value=value, method=method, params={"n": n})
+    return CountResult(
+        value=_pentagonal_iterative(n), method=PENTAGONAL_ITERATIVE, params={"n": n}
+    )
 
 
 def _pentagonal_iterative(n: int) -> int:
@@ -239,22 +202,6 @@ def _pentagonal_iterative(n: int) -> int:
             k += 1
         table[m] = total
     return table[n]
-
-
-@lru_cache(maxsize=None)
-def _pentagonal_memoized(n: int) -> int:
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while k * (3 * k - 1) // 2 <= n:
-        sign = 1 if k % 2 else -1
-        total += sign * _pentagonal_memoized(n - k * (3 * k - 1) // 2)
-        rest = n - k * (3 * k + 1) // 2
-        if rest >= 0:
-            total += sign * _pentagonal_memoized(rest)
-        k += 1
-    return total
 
 
 def hardy_ramanujan_exponent(n: int, k: int = 1) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
     """Greatest convex minorant, computed by a monotone-chain lower hull
     scan over the points (i, f(i)) and interpolated back to the grid."""
     pts = [(i, v) for i, v in zip(range(f.lo, f.hi + 1), f.values)]
-    hull = _lower_hull(pts)
+    hull = lower_hull(pts)
     return DiscreteFunction(f.lo, tuple(_interpolate(hull, f.lo, f.hi)))
 
 
@@ -89,8 +89,10 @@ def path_energy(f: DiscreteFunction, spec: EnergySpec | None = None) -> float:
     return total
 
 
-def _lower_hull(pts: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    hull: list[tuple[int, float]] = []
+def lower_hull(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Monotone-chain lower hull of points sorted by strictly increasing x;
+    collinear middle points are dropped."""
+    hull: list[tuple[float, float]] = []
     for p in pts:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]

@@ -3,11 +3,14 @@
 Everything here deliberately takes a different algorithmic route from the
 code under test: enumeration instead of dynamic programming, chord minima
 instead of hull scans, product formulas instead of transfer matrices.
-Slow is fine; these only run at test sizes.
+Slow is fine; these only run at test and ``verify`` sizes.  The module is
+not part of the package's public surface: ``verify`` and the test suite
+import it directly.
 """
 
-from fractions import Fraction
 from itertools import product
+
+from .envelope import DiscreteFunction
 
 
 def partitions_of(n):
@@ -26,13 +29,6 @@ def partitions_of(n):
 
     grow(n, 1, [])
     return out
-
-
-def partitions_up_to(n_max):
-    result = []
-    for n in range(1, n_max + 1):
-        result.extend(partitions_of(n))
-    return result
 
 
 def brute_subpartitions(parts):
@@ -73,15 +69,66 @@ def brute_chain_count(parts, k, strict=False):
     return total
 
 
+def poset_chain_count(parts, k, strict=False):
+    """The same count as brute_chain_count, summed level by level over the
+    containment poset of the subpartitions instead of over all k-tuples;
+    much faster at the sizes ``verify --level full`` reaches."""
+    subs = brute_subpartitions(parts)
+    below = {mu: [nu for nu in subs if contains(mu, nu)] for mu in subs}
+    level = {mu: 1 for mu in subs}
+    for _ in range(k - 1):
+        level = {
+            mu: sum(level[nu] for nu in below[mu] if not (strict and nu == mu))
+            for mu in subs
+        }
+    return sum(level.values())
+
+
 def macmahon_box(a, b, c):
     """Plane partitions in an a x b x c box, as an exact product."""
+    # imported here so that loading the CLI does not load fractions
+    from fractions import Fraction
+
     value = Fraction(1)
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             for k in range(1, c + 1):
                 value *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ValueError(f"box product {a}x{b}x{c} is not an integer: {value}")
     return value.numerator
+
+
+def pentagonal_memoized(n):
+    """p(n) by Euler's pentagonal-number recurrence, recursing downward
+    with a memo local to this call (the package iterates upward)."""
+    memo = {0: 1}
+
+    def p(m):
+        if m not in memo:
+            total = 0
+            k = 1
+            while k * (3 * k - 1) // 2 <= m:
+                sign = 1 if k % 2 else -1
+                total += sign * p(m - k * (3 * k - 1) // 2)
+                rest = m - k * (3 * k + 1) // 2
+                if rest >= 0:
+                    total += sign * p(rest)
+                k += 1
+            memo[m] = total
+        return memo[m]
+
+    return p(n)
+
+
+def random_grid(rng, max_len=12):
+    """Random walk on 2..max_len grid points with unit-bounded increments,
+    started at a random offset."""
+    length = rng.randint(2, max_len)
+    values = [rng.uniform(-2.0, 2.0)]
+    for _ in range(length - 1):
+        values.append(values[-1] + rng.uniform(-1.0, 1.0))
+    return DiscreteFunction(rng.randint(-3, 3), tuple(values))
 
 
 def chord_min_envelope(values):

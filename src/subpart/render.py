@@ -71,13 +71,14 @@ def report_row(report: MaximizerReport) -> list[str]:
     ]
 
 
-def reports_csv(reports: list[MaximizerReport]) -> str:
+def csv_lines(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MAXIMIZE_COLUMNS)
-    for report in reports:
-        writer.writerow(report_row(report))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def reports_csv(reports: list[MaximizerReport]) -> str:
+    return csv_lines([MAXIMIZE_COLUMNS] + [report_row(r) for r in reports])
 
 
 def report_text(report: MaximizerReport) -> str:

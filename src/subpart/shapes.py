@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .envelope import lower_hull
 from .partitions import LatticeProfile
 
 _EDGE_TOL = 1e-9
@@ -104,20 +105,7 @@ class PiecewiseLinearShape:
         |x| outside; the hull's first and last slopes never exceed 1 in
         magnitude because every kink lies on or above |x|.
         """
-        return PiecewiseLinearShape(tuple(_lower_hull(self.kinks)))
-
-
-def _lower_hull(points: tuple[tuple[float, float], ...]) -> list[tuple[float, float]]:
-    hull: list[tuple[float, float]] = []
-    for p in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+        return PiecewiseLinearShape(tuple(lower_hull(self.kinks)))
 
 
 def rescale(prof: LatticeProfile, n: int) -> PiecewiseLinearShape:

@@ -6,6 +6,11 @@ finishes in seconds; ``full`` runs everything at the documented sizes,
 including the limit-shape trend scan.  Each check returns a CheckResult;
 a check failure never raises, it reports.
 
+The independent routes the counting checks compare against (enumeration,
+the poset chain counter, MacMahon's box product, the memoized pentagonal
+recurrence) and the random grids of the envelope checks come from
+``subpart.oracles``, which the test suite shares.
+
 The rate-function oracle check accepts an override of the closed form so a
 harness can inject a broken implementation and watch exactly this check
 fail (a mutation sanity test for the verifier itself).
@@ -19,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import render
+from . import oracles, render
 from .counting import (
     count_bridges_below,
     count_kchains,
@@ -27,10 +32,6 @@ from .counting import (
     envelope_count_bound,
     hardy_ramanujan_exponent,
     partition_count,
-    subpartitions,
-    MEMOIZED_CHAIN,
-    PENTAGONAL_ITERATIVE,
-    PENTAGONAL_MEMOIZED,
 )
 from .envelope import (
     DiscreteFunction,
@@ -210,14 +211,6 @@ def check_enumeration_count(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 # ------------------------------------------------------------------ envelope
 
 
-def _random_discrete(rng: random.Random, max_len: int = 12) -> DiscreteFunction:
-    length = rng.randint(2, max_len)
-    values = [rng.uniform(-2.0, 2.0)]
-    for _ in range(length - 1):
-        values.append(values[-1] + rng.uniform(-1.0, 1.0))
-    return DiscreteFunction(rng.randint(-3, 3), tuple(values))
-
-
 def _random_minorant(
     rng: random.Random, f: DiscreteFunction, pin_right: bool
 ) -> DiscreteFunction:
@@ -247,7 +240,7 @@ def check_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     envelope's energy, and the envelope itself is a valid competitor."""
     spec = EnergySpec("rate-function", rate_function)
     for trial in range(caps.envelope_trials):
-        f = _random_discrete(rng)
+        f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
         jh = path_energy(h, spec)
         if math.isinf(jh):
@@ -269,7 +262,7 @@ def check_decreasing_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, 
     """Pinned-left optimality against the decreasing envelope."""
     spec = EnergySpec("rate-function", rate_function)
     for trial in range(caps.envelope_trials):
-        f = _random_discrete(rng)
+        f = oracles.random_grid(rng)
         h = decreasing_lower_convex_envelope(f)
         jh = path_energy(h, spec)
         if math.isinf(jh):
@@ -289,7 +282,7 @@ def check_decreasing_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, 
 
 def check_envelope_idempotent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
-        f = _random_discrete(rng)
+        f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
         hh = lower_convex_envelope(h)
         if any(abs(a - b) > 1e-12 for a, b in zip(h.values, hh.values)):
@@ -299,7 +292,7 @@ def check_envelope_idempotent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 
 def check_envelope_monotone(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
-        f = _random_discrete(rng)
+        f = oracles.random_grid(rng)
         g = DiscreteFunction(
             f.lo, tuple(v + rng.uniform(0.0, 1.0) for v in f.values)
         )
@@ -314,7 +307,7 @@ def check_jensen_step(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     """On each linear run of the envelope, the straightened increments can
     only lower the summed rate."""
     for trial in range(caps.envelope_trials):
-        f = _random_discrete(rng)
+        f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
         contacts = [
             i
@@ -452,40 +445,21 @@ def check_bridge_bijection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{count} partitions, n <= {caps.bridge_n}"
 
 
-def _poset_chain_count(lam: Partition, k: int, strict: bool) -> int:
-    subs = list(subpartitions(lam.parts))
-    contains = {
-        mu: [nu for nu in subs if len(nu) <= len(mu) and all(b <= a for a, b in zip(mu, nu))]
-        for mu in subs
-    }
-    level = {mu: 1 for mu in subs}
-    for _ in range(k - 1):
-        if strict:
-            level = {
-                mu: sum(level[nu] for nu in contains[mu] if nu != mu) for mu in subs
-            }
-        else:
-            level = {mu: sum(level[nu] for nu in contains[mu]) for mu in subs}
-    return sum(level.values())
-
-
 def check_counting_brute_force(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
-    """Row DP and both chain DPs against explicit enumeration over the
+    """Row DP and chain transfer DP against explicit enumeration over the
     subpartition poset, weak and strict, k <= 3."""
     count = 0
     for lam in _all_partitions_upto(caps.brute_n):
-        subs = list(subpartitions(lam.parts))
-        if count_subpartitions(lam).value != len(subs):
+        if count_subpartitions(lam).value != len(oracles.brute_subpartitions(lam.parts)):
             return False, f"subpartition count wrong at {lam}"
         for k in (1, 2, 3):
             for strict in (False, True):
-                expected = _poset_chain_count(lam, k, strict)
+                expected = oracles.poset_chain_count(lam.parts, k, strict)
                 got = count_kchains(lam, k, strict=strict).value
-                memo = count_kchains(lam, k, strict=strict, method=MEMOIZED_CHAIN).value
-                if got != expected or memo != expected:
+                if got != expected:
                     return False, (
                         f"chain count mismatch at {lam}, k={k}, strict={strict}: "
-                        f"transfer {got}, memo {memo}, poset {expected}"
+                        f"transfer {got}, poset {expected}"
                     )
         count += 1
     return True, f"{count} partitions, n <= {caps.brute_n}, k <= 3"
@@ -493,20 +467,13 @@ def check_counting_brute_force(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 
 def check_macmahon_box(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     """Weak chains in a rectangle against the box product formula."""
-    from fractions import Fraction
-
     for a in range(1, 4):
         for b in range(1, 4):
             for k in range(1, 4):
-                prod = Fraction(1)
-                for i in range(1, a + 1):
-                    for j in range(1, b + 1):
-                        for l in range(1, k + 1):
-                            prod *= Fraction(i + j + l - 1, i + j + l - 2)
-                lam = Partition((b,) * a)
-                got = count_kchains(lam, k).value
-                if prod.denominator != 1 or got != prod.numerator:
-                    return False, f"box {a}x{b}x{k}: {got} != {prod}"
+                want = oracles.macmahon_box(a, b, k)
+                got = count_kchains(Partition((b,) * a), k).value
+                if got != want:
+                    return False, f"box {a}x{b}x{k}: {got} != {want}"
     return True, "all boxes a, b, k <= 3"
 
 
@@ -561,12 +528,12 @@ def check_count_monotonicity(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 def check_pentagonal(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     for n in range(caps.pentagonal_n + 1):
         by_enum = sum(1 for _ in enumerate_partitions(n))
-        if partition_count(n, PENTAGONAL_ITERATIVE).value != by_enum:
+        if partition_count(n).value != by_enum:
             return False, f"iterative p({n}) wrong"
-        if partition_count(n, PENTAGONAL_MEMOIZED).value != by_enum:
+        if oracles.pentagonal_memoized(n) != by_enum:
             return False, f"memoized p({n}) wrong"
-    a = partition_count(100, PENTAGONAL_ITERATIVE).value
-    b = partition_count(100, PENTAGONAL_MEMOIZED).value
+    a = partition_count(100).value
+    b = oracles.pentagonal_memoized(100)
     if a != b or a != 190569292:
         return False, f"p(100): iterative {a}, memoized {b}"
     return True, f"n <= {caps.pentagonal_n} vs enumeration; p(100) = {a} twice"
@@ -593,7 +560,7 @@ def check_maximizer_ground_truth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]
         return False, f"n=4 maximizers {got}, count {report.max_count.value}"
     # cross-check k=2 against the poset brute force
     brute = {
-        lam.parts: _poset_chain_count(lam, 2, False)
+        lam.parts: oracles.poset_chain_count(lam.parts, 2)
         for lam in enumerate_partitions(4)
     }
     best = max(brute.values())

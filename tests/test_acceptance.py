@@ -9,10 +9,9 @@ import math
 import random
 import time
 
+from subpart import oracles
 from subpart.cli import main as cli_main
 from subpart.counting import (
-    PENTAGONAL_ITERATIVE,
-    PENTAGONAL_MEMOIZED,
     count_bridges_below,
     count_kchains,
     count_subpartitions,
@@ -36,8 +35,6 @@ from subpart.ratefn import (
     verify_constants,
 )
 from subpart.shapes import rescale
-
-import oracles
 
 
 def all_partitions_through(n_max):
@@ -125,17 +122,9 @@ def test_criterion_06_hardy_ramanujan_shell():
         assert partition_count(n).value == len(list(enumerate_partitions(n))), n
     for n, lam in all_partitions_through(12):
         assert count_subpartitions(lam).value <= (n + 1) * partition_count(n).value
-    a = partition_count(100, PENTAGONAL_ITERATIVE).value
-    b = partition_count(100, PENTAGONAL_MEMOIZED).value
+    a = partition_count(100).value
+    b = oracles.pentagonal_memoized(100)
     assert a == b == 190569292
-
-
-def _random_grid(rng):
-    length = rng.randint(2, 12)
-    vals = [rng.uniform(-2.0, 2.0)]
-    for _ in range(length - 1):
-        vals.append(vals[-1] + rng.uniform(-1.0, 1.0))
-    return DiscreteFunction(rng.randint(-3, 3), tuple(vals))
 
 
 def _random_minorant(rng, f, pin_right):
@@ -154,7 +143,7 @@ def test_criterion_07_lemma0_property_suite():
     rng = random.Random(60502)
     violations = 0
     for _ in range(200):
-        f = _random_grid(rng)
+        f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
         jh = path_energy(h, spec)
         assert path_energy(h, spec) == jh  # equality at g = h, exactly
@@ -163,7 +152,7 @@ def test_criterion_07_lemma0_property_suite():
         if path_energy(g, spec) < jh - 1e-9:
             violations += 1
     for _ in range(200):
-        f = _random_grid(rng)
+        f = oracles.random_grid(rng)
         h = decreasing_lower_convex_envelope(f)
         jh = path_energy(h, spec)
         assert path_energy(h, spec) == jh

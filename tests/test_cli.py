@@ -27,7 +27,6 @@ def test_count_text(capsys):
 def test_count_chain_flags(capsys):
     assert run_cli(capsys, "count", "2,2", "--k", "2") == (0, "20\n")
     assert run_cli(capsys, "count", "2,2", "--k", "2", "--strict") == (0, "14\n")
-    assert run_cli(capsys, "chains", "2,2", "--k", "2") == (0, "20\n")
 
 
 def test_count_json(capsys):
@@ -62,6 +61,18 @@ def test_bound(capsys):
     assert payload["bound"] == pytest.approx(4.0, abs=1e-9)
     code, out = run_cli(capsys, "bound", "1")
     assert "log_bound" in out and "bound" in out
+
+
+def test_bound_past_float_range(capsys):
+    staircase = ",".join(str(p) for p in range(600, 0, -1))
+    code, out = run_cli(capsys, "bound", staircase)
+    assert code == 0
+    assert out.splitlines()[1] == "bound inf"
+    code, out = run_cli(capsys, "bound", staircase, "--format", "csv")
+    assert out.splitlines()[1].endswith(",inf")
+    code, out = run_cli(capsys, "bound", staircase, "--format", "json")
+    assert '"bound": Infinity' in out
+    assert json.loads(out)["bound"] == math.inf
 
 
 def test_maximize_text(capsys):
@@ -162,6 +173,21 @@ def test_exit_code_io(capsys):
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "3,1", "--seed", "1"],
+        ["pn", "5", "--jobs", "2"],
+        ["chains", "2,2", "--k", "2"],
+        ["verify", "--format", "csv"],
+    ],
+)
+def test_unread_flags_and_commands_rejected(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
     assert err.value.code == 2
 
 

@@ -12,7 +12,7 @@ from subpart.envelope import (
 )
 from subpart.ratefn import rate_function
 
-import oracles
+from subpart import oracles
 
 
 def random_walk(rng, max_len=14):

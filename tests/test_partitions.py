@@ -13,7 +13,7 @@ from subpart.partitions import (
     profile,
 )
 
-import oracles
+from subpart import oracles
 
 
 def test_partition_basics():

@@ -6,7 +6,7 @@ from subpart.partitions import Partition, profile
 from subpart.ratefn import VERSHIK_HEIGHT, VershikCurve
 from subpart.shapes import PiecewiseLinearShape, rescale, sup_distance
 
-import oracles
+from subpart import oracles
 
 
 def test_validation():
