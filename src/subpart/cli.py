@@ -61,11 +61,24 @@ def _output_flags(formats: list[str]) -> argparse.ArgumentParser:
     return parent
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = _output_flags(["text", "json", "csv"])
     text_or_json = _output_flags(["text", "json"])
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
+    jobs.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes for k >= 2 scans, at most one per CPU (default 1)",
+    )
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
         "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,

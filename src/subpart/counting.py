@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .partitions import LatticeProfile, Partition, ResourceLimitError, format_partition, profile
@@ -48,18 +48,29 @@ def count_subpartitions(lam: Partition) -> CountResult:
 
 
 def _subpartition_count(parts: tuple[int, ...]) -> int:
-    """Row DP from the bottom row up; the state is the value of the current
-    part, and prefix sums give each row in linear time."""
-    if not parts:
-        return 1
-    counts = [1] * (parts[-1] + 1)
-    for i in range(len(parts) - 2, -1, -1):
-        prefix = [0] * (len(counts) + 1)
-        for v, c in enumerate(counts):
-            prefix[v + 1] = prefix[v] + c
-        bound = len(counts) - 1
-        counts = [prefix[min(v, bound) + 1] for v in range(parts[i] + 1)]
+    """Row DP from the bottom row up, starting below the bottom row from
+    an empty row of length 0; the state is the value of the current part.
+    """
+    counts, p = [1], 0
+    for q in reversed(parts):
+        lifted, total = _row_step(counts)
+        counts, p = lifted + [total] * (q - p), q
     return sum(counts)
+
+
+def _row_step(counts: list[int]) -> tuple[list[int], int]:
+    """One step of the row DP.
+
+    ``counts[v]`` counts the fillings of the current row (length p) and the
+    rows below it that put value v in the current row, 0 <= v <= p.
+    Returns the prefix sums ``lifted`` and their total T.  A row of any
+    length q >= p placed on top then has the counts
+    ``lifted + [T] * (q - p)``, so one step serves every choice of q, and
+    the partition capped by that row has ``sum(lifted) + (q - p) * T``
+    subpartitions.
+    """
+    lifted = list(accumulate(counts))
+    return lifted, lifted[-1]
 
 
 def count_bridges_below(prof: LatticeProfile) -> CountResult:

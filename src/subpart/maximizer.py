@@ -1,24 +1,31 @@
 """Exhaustive search for the partitions maximizing subpartition and chain
 counts, and limit-shape reports for the winners.
 
-The scan enumerates all partitions of n in decreasing lexicographic order
-and keeps every argmax, so maximizer sets come out conjugation-closed and
-deterministic.  Work can be spread over processes; counts are exact
-integers, so the reduction is order-independent and the reports are
-byte-for-byte identical however many workers ran.
+The scan visits every partition of n and keeps every argmax, reported in
+decreasing lexicographic order, so maximizer sets come out
+conjugation-closed and deterministic.  For subpartitions (k = 1) it builds
+each partition from its smallest part upward and carries the row DP down
+that tree, so partitions sharing their lower rows share the DP work and
+each one costs O(1) at its leaf; nothing is materialized but the winners.
+Chain scans (k >= 2) enumerate the partitions and can spread the chain DP
+over worker processes; counts are exact integers, so the reduction is
+order-independent and the reports are byte-for-byte identical however
+many workers ran.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .counting import (
+    DEFAULT_STATE_CAP,
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
-    _subpartition_count,
+    _row_step,
     _weak_chains_transfer,
     partition_count,
 )
@@ -61,12 +68,39 @@ class ShapeReport:
 
 def _count_chunk(args: tuple[list[tuple[int, ...]], int]) -> list[int]:
     parts_list, k = args
-    if k == 1:
-        return [_subpartition_count(parts) for parts in parts_list]
     return [
-        _weak_chains_transfer(profile(Partition(parts)), k, 10**9)
+        _weak_chains_transfer(profile(Partition(parts)), k, DEFAULT_STATE_CAP)
         for parts in parts_list
     ]
+
+
+def _subpartition_maxima(n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The largest subpartition count over the partitions of n, and the
+    parts of every partition reaching it, in no particular order.
+
+    Depth-first over partitions built from the smallest part upward.  A
+    node holds the row-DP counts of its parts so far (p the largest, r
+    still to place) and is lifted once; its leaf puts all of r on top, and
+    each child adds a part q with p <= q <= r // 2.  Paths are linked
+    pairs, so only winners are turned into tuples.
+    """
+    best, winners = 0, []
+    stack = [(None, [1], 0, n)]
+    while stack:
+        path, counts, p, r = stack.pop()
+        lifted, total = _row_step(counts)
+        value = sum(lifted) + (r - p) * total
+        if value >= best:
+            if value > best:
+                best, winners = value, []
+            parts, link = [r], path
+            while link is not None:
+                q, link = link
+                parts.append(q)
+            winners.append(tuple(parts))
+        for q in range(max(p, 1), r // 2 + 1):
+            stack.append(((q, path), lifted + [total] * (q - p), q, r - q))
+    return best, winners
 
 
 def find_maximizers(
@@ -79,6 +113,8 @@ def find_maximizers(
     k-chain count (the subpartition count when k = 1).
 
     Refuses upfront when p(n) exceeds the cap; nothing partial is kept.
+    ``jobs`` worker processes (at most one per CPU) share the chain DP of
+    a k >= 2 scan; the k = 1 scan always runs in this process.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -86,12 +122,14 @@ def find_maximizers(
         raise ValueError("k must be at least 1")
     if partition_count(n).value > cap:
         raise ResourceLimitError(f"p({n}) exceeds enumeration cap {cap}")
-    candidates = [lam.parts for lam in enumerate_partitions(n, cap=None)]
-    counts = _all_counts(candidates, k, jobs)
-    best = max(counts)
-    maximizers = tuple(
-        Partition(parts) for parts, c in zip(candidates, counts) if c == best
-    )
+    if k == 1:
+        best, winners = _subpartition_maxima(n)
+    else:
+        candidates = [lam.parts for lam in enumerate_partitions(n, cap=None)]
+        counts = _all_counts(candidates, k, jobs)
+        best = max(counts)
+        winners = [parts for parts, c in zip(candidates, counts) if c == best]
+    maximizers = tuple(Partition(parts) for parts in sorted(winners, reverse=True))
     first = maximizers[0]
     shape = rescale(profile(first), n)
     return MaximizerReport(
@@ -117,7 +155,7 @@ def _all_counts(candidates: list[tuple[int, ...]], k: int, jobs: int) -> list[in
         (candidates[i : i + chunk], k) for i in range(0, len(candidates), chunk)
     ]
     out: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         for partial in pool.map(_count_chunk, batches):
             out.extend(partial)
     return out

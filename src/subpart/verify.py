@@ -636,13 +636,14 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng, ctx) -> tuple[bool, 
 
 
 def check_csv_determinism(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+    # k = 2: only chain scans spread over worker processes
     n = caps.determinism_n
     jobs = caps.determinism_jobs
-    serial = render.reports_csv([find_maximizers(n, 1, jobs=1)])
-    parallel = render.reports_csv([find_maximizers(n, 1, jobs=jobs)])
+    serial = render.reports_csv([find_maximizers(n, 2, jobs=1)])
+    parallel = render.reports_csv([find_maximizers(n, 2, jobs=jobs)])
     if serial.encode() != parallel.encode():
-        return False, f"csv differs between jobs=1 and jobs={jobs} at n={n}"
-    return True, f"n={n}: byte-identical across jobs=1 and jobs={jobs}"
+        return False, f"k=2 csv differs between jobs=1 and jobs={jobs} at n={n}"
+    return True, f"n={n}, k=2: byte-identical across jobs=1 and jobs={jobs}"
 
 
 def check_json_roundtrip(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:

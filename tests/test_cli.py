@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from subpart import cli
+from subpart import cli, maximizer
 from subpart.render import MAXIMIZE_COLUMNS
 from subpart.verify import CHECKS
 
@@ -91,17 +91,18 @@ def test_maximize_json(capsys):
 
 
 def test_maximize_csv_header_and_determinism(tmp_path):
-    paths = []
-    for jobs in ("1", "2"):
-        p = tmp_path / f"out-{jobs}.csv"
-        code = cli.main(
-            ["maximize", "--n", "12", "--format", "csv", "--jobs", jobs, "--out", str(p)]
-        )
-        assert code == 0
-        paths.append(p)
-    a, b = (p.read_bytes() for p in paths)
-    assert a == b
-    assert a.decode().splitlines()[0] == ",".join(MAXIMIZE_COLUMNS)
+    for k in ("1", "2"):
+        paths = []
+        for jobs in ("1", "2"):
+            p = tmp_path / f"out-k{k}-{jobs}.csv"
+            code = cli.main(
+                ["maximize", "--n", "12", "--k", k, "--format", "csv", "--jobs", jobs, "--out", str(p)]
+            )
+            assert code == 0
+            paths.append(p)
+        a, b = (p.read_bytes() for p in paths)
+        assert a == b
+        assert a.decode().splitlines()[0] == ",".join(MAXIMIZE_COLUMNS)
 
 
 def test_table(capsys):
@@ -164,6 +165,22 @@ def test_exit_code_parse_errors(capsys):
 
 def test_exit_code_resource(capsys):
     assert run_cli(capsys, "maximize", "--n", "40", "--cap", "10")[0] == 3
+
+
+def test_chain_scan_state_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(maximizer, "DEFAULT_STATE_CAP", 1)
+    assert run_cli(capsys, "maximize", "--n", "6", "--k", "2")[0] == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["maximize", "--n", "4"], ["table", "--n", "4"], ["shape", "--n", "4"], ["verify"]],
+)
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(command, jobs):
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--jobs", jobs])
+    assert err.value.code == 2
 
 
 def test_exit_code_io(capsys):

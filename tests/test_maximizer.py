@@ -2,14 +2,21 @@ import math
 
 import pytest
 
-from subpart.counting import count_kchains, count_subpartitions
+from subpart import maximizer
+from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
     convergence_table,
     find_maximizers,
     shape_report,
 )
-from subpart.partitions import Partition, ResourceLimitError, conjugate
+from subpart.partitions import (
+    Partition,
+    ResourceLimitError,
+    conjugate,
+    enumerate_partitions,
+    profile,
+)
 from subpart.ratefn import FUNCTIONAL_MAX
 
 
@@ -30,15 +37,22 @@ def test_ground_truth_n4_chains():
 
 
 def test_maximizers_are_actual_maxima():
-    from subpart.partitions import enumerate_partitions
-
-    for n in (3, 5, 7):
+    # the streamed scan against the exhaustive route: every partition
+    # counted on its own, winners re-counted as bridges below the profile
+    for n in range(1, 31):
+        counts = {lam: _subpartition_count(lam.parts) for lam in enumerate_partitions(n)}
+        best = max(counts.values())
         report = find_maximizers(n)
-        best = report.max_count.value
-        for lam in enumerate_partitions(n):
-            s = count_subpartitions(lam).value
-            assert s <= best
-            assert (s == best) == (lam in report.maximizers)
+        assert report.max_count.value == best
+        assert report.maximizers == tuple(lam for lam, c in counts.items() if c == best)
+        for lam in report.maximizers:
+            assert count_bridges_below(profile(lam)).value == best
+
+
+def test_maximizer_n50_pinned():
+    report = find_maximizers(50)
+    assert report.maximizers == (Partition((13, 9, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1)),)
+    assert report.max_count.value == 58927
 
 
 def test_maximizer_sets_are_conjugation_closed():
@@ -56,9 +70,36 @@ def test_chain_maximizer_counts_match_direct():
 
 
 def test_parallel_scan_matches_serial():
-    serial = find_maximizers(14, jobs=1)
-    parallel = find_maximizers(14, jobs=3)
-    assert serial == parallel
+    for k in (1, 2):
+        serial = find_maximizers(14, k=k, jobs=1)
+        parallel = find_maximizers(14, k=k, jobs=3)
+        assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(8, 2, 2), (8, None, 1), (3, 16, 3)])
+def test_pool_clamped_to_cpu_count(monkeypatch, jobs, cpus, workers):
+    created = []
+
+    class PoolRecorder:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    monkeypatch.setattr(maximizer, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(maximizer.os, "cpu_count", lambda: cpus)
+    report = find_maximizers(12, k=2, jobs=jobs)
+    assert created == [workers]
+    assert report == find_maximizers(12, k=2, jobs=1)
 
 
 def test_input_validation_and_cap():
