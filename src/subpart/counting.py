@@ -2,25 +2,32 @@
 
 Everything here is integer-exact (Python arbitrary precision).  There is
 one route per object: a row DP over part values for subpartitions, a
-column DP over bridge paths below the profile, and a column transfer DP
-over nested bridges for k-chains.  The first two count the same objects
-through different bijections; all three are cross-checked against each
-other and against the reference implementations in ``subpart.oracles``.
-Bounds derived from the profile's convex envelope are carried in log
-space.
+column DP over bridge paths below the profile, and, for k-chains, a
+k x k Gessel-Viennot determinant whose entries come from the same
+column DP run on k shifted bridges.  The first two count the same
+objects through different bijections; all three are cross-checked
+against each other and against the reference implementations in
+``subpart.oracles`` (among them the column transfer DP over nested
+height tuples and the len(lam) x len(lam) binomial determinant).  Bounds
+derived from the profile's convex envelope are carried in log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .envelope import DiscreteFunction, lower_convex_envelope
-from .partitions import LatticeProfile, Partition, ResourceLimitError, format_partition, profile
+from .partitions import (
+    DEFAULT_STATE_CAP,
+    LatticeProfile,
+    Partition,
+    ResourceLimitError,
+    format_partition,
+    profile,
+)
 from .ratefn import growth_rate
-
-DEFAULT_STATE_CAP = 1_000_000
 
 ROW_DP = "row-dp"
 BRIDGE_DP = "bridge-dp"
@@ -80,48 +87,58 @@ def count_bridges_below(prof: LatticeProfile) -> CountResult:
     Each such bridge is the profile of a subpartition, so this must agree
     with the row DP.
     """
-    ways = {abs(prof.lo): 1}
-    for j in range(prof.lo + 1, prof.hi + 1):
-        ceiling = prof.value(j)
-        floor = abs(j)
+    ends = _bridge_ends(prof, abs(prof.lo), 0)
+    return CountResult(
+        value=ends.get(abs(prof.hi), 0),
+        method=BRIDGE_DP,
+        params={"window": [prof.lo, prof.hi]},
+    )
+
+
+def _bridge_ends(prof: LatticeProfile, start: int, drop: int) -> dict[int, int]:
+    """Column DP over +-1 paths: the paths that leave height ``start`` at
+    column lo and stay between |j| - drop and G(j) at every column j of
+    the window, counted by their height at column hi.
+
+    A path that starts and ends on or above the floor |j| - drop never
+    crosses it, so the floor only prunes paths that could not end on it.
+    """
+    ways = {start: 1}
+    for j, ceiling in zip(range(prof.lo + 1, prof.hi + 1), prof.heights[1:]):
+        floor = abs(j) - drop
         new: dict[int, int] = {}
         for h, c in ways.items():
             for h2 in (h - 1, h + 1):
                 if floor <= h2 <= ceiling:
                     new[h2] = new.get(h2, 0) + c
         ways = new
-    return CountResult(
-        value=ways.get(abs(prof.hi), 1 if prof.lo == prof.hi else 0),
-        method=BRIDGE_DP,
-        params={"window": [prof.lo, prof.hi]},
-    )
+    return ways
 
 
-def count_kchains(
-    lam: Partition,
-    k: int,
-    strict: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> CountResult:
+def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
     """Number of nested chains mu_k <= ... <= mu_1 <= lam of length k.
 
     Weak chains allow equal consecutive elements; strict mode forbids
     equality between consecutive chain elements only (the top containment
-    in lam stays weak).  Strict counts come from weak counts of every
-    length up to k through the run-length binomial transform, so they can
-    legitimately be zero.
+    in lam stays weak).  Weak counts are k x k Gessel-Viennot determinants
+    of bridge counts (see ``_weak_chains_transfer``).  Strict counts come
+    from weak counts of every length up to k through the run-length
+    binomial transform, so they can legitimately be zero; the transform
+    runs from m = k down, so an oversized request is refused before any
+    DP work.
+
+    Raises ResourceLimitError when k^2 times the profile window exceeds
+    ``DEFAULT_STATE_CAP``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     prof = profile(lam)
     if not strict:
-        value = _weak_chains_transfer(prof, k, state_cap)
+        value = _weak_chains_transfer(prof, k)
     else:
         value = sum(
-            (-1) ** (k - m)
-            * math.comb(k - 1, m - 1)
-            * _weak_chains_transfer(prof, m, state_cap)
-            for m in range(1, k + 1)
+            (-1) ** (k - m) * math.comb(k - 1, m - 1) * _weak_chains_transfer(prof, m)
+            for m in range(k, 0, -1)
         )
     return CountResult(
         value=value,
@@ -130,34 +147,62 @@ def count_kchains(
     )
 
 
-def _weak_chains_transfer(prof: LatticeProfile, k: int, state_cap: int) -> int:
-    """Column transfer DP over nested k-tuples of bridge heights.
+# Named for the transfer DP it replaced: perfbench/tracing.py times this
+# layer under that name.
+def _weak_chains_transfer(prof: LatticeProfile, k: int) -> int:
+    """Weak k-chains below the profile, as a k x k determinant of path
+    counts (Gessel and Viennot, "Binomial determinants, paths, and hook
+    length formulae", Adv. Math. 58, 1985).
 
-    A weak k-chain is the same thing as k non-crossing bridges below the
-    profile, ordered pointwise; the state at column j is the weakly
-    decreasing tuple of their heights.
+    A weak k-chain mu_k <= ... <= mu_1 is the same thing as k bridges
+    gamma_1 >= ... >= gamma_k below the profile, ordered pointwise.  Shift
+    bridge t + 1 down by 2t, delta_t = gamma_{t+1} - 2t for t < k.  Then
+    delta_t - delta_{t+1} >= 2, so the shifted paths share no vertex, and
+    all of them stay in the region R between |j| - 2(k - 1) and G(j).
+    Conversely, vertex-disjoint paths in R from (lo, |lo| - 2t) to
+    (hi, |hi| - 2t) keep their order: every height at column j has the
+    parity of j, so two paths that cross must meet at a vertex.  Their
+    gaps are then at least 2, which gives delta_t <= delta_0 - 2t <=
+    G - 2t and delta_t >= delta_{k-1} + 2(k-1-t) >= |j| - 2t, so undoing
+    the shift gives a weak chain back.  The same order argument shows
+    that a vertex-disjoint system in R can only join source t to sink t,
+    so the Lindstrom-Gessel-Viennot lemma counts the chains as
+    det[e(s, t)], where e(s, t) counts the paths in R from
+    (lo, |lo| - 2s) to (hi, |hi| - 2t): one ``_bridge_ends`` run per
+    source.
+
+    Raises ResourceLimitError, before any DP work, when k^2 times the
+    window length exceeds ``DEFAULT_STATE_CAP``.
     """
-    start = (abs(prof.lo),) * k
-    ways = {start: 1}
-    signs = tuple(product((-1, 1), repeat=k))
-    for j in range(prof.lo + 1, prof.hi + 1):
-        ceiling = prof.value(j)
-        floor = abs(j)
-        new: dict[tuple[int, ...], int] = {}
-        for heights, c in ways.items():
-            for step in signs:
-                nh = tuple(h + s for h, s in zip(heights, step))
-                if nh[0] > ceiling or nh[-1] < floor:
-                    continue
-                if any(a < b for a, b in zip(nh, nh[1:])):
-                    continue
-                new[nh] = new.get(nh, 0) + c
-        if len(new) > state_cap:
-            raise ResourceLimitError(
-                f"chain DP state space exceeded cap {state_cap} at column {j}"
-            )
-        ways = new
-    return ways.get((abs(prof.hi),) * k, 1 if prof.lo == prof.hi else 0)
+    width = prof.hi - prof.lo + 1
+    if k * k * width > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(
+            f"chain count for k={k} over {width} columns exceeds cap {DEFAULT_STATE_CAP}"
+        )
+    drop = 2 * (k - 1)
+    top, bottom = abs(prof.lo), abs(prof.hi)
+    rows = []
+    for s in range(k):
+        ends = _bridge_ends(prof, top - 2 * s, drop)
+        rows.append([ends.get(bottom - 2 * t, 0) for t in range(k)])
+    return _bareiss_det(rows)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant by fraction-free Bareiss elimination; every division
+    is exact.  No row swaps: the pivot at step i is the leading
+    (i+1) x (i+1) minor, which for the path matrices above counts the
+    vertex-disjoint systems of the first i + 1 paths and is at least 1
+    (the floor |j| shifted down by 2t is one)."""
+    m = list(rows)
+    prev = 1
+    for i in range(len(m) - 1):
+        pivot = m[i][i]
+        for r in range(i + 1, len(m)):
+            lead = m[r][i]
+            m[r] = [(pivot * a - lead * b) // prev for a, b in zip(m[r], m[i])]
+        prev = pivot
+    return m[-1][-1]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ conjugation-closed and deterministic.  For subpartitions (k = 1) it builds
 each partition from its smallest part upward and carries the row DP down
 that tree, so partitions sharing their lower rows share the DP work and
 each one costs O(1) at its leaf; nothing is materialized but the winners.
-Chain scans (k >= 2) enumerate the partitions and can spread the chain DP
-over worker processes; counts are exact integers, so the reduction is
-order-independent and the reports are byte-for-byte identical however
-many workers ran.
+Chain scans (k >= 2) enumerate the partitions, count each one's weak
+k-chains as a k x k determinant of bridge counts, and can spread those
+counts over worker processes; counts are exact integers, so the
+reduction is order-independent and the reports are byte-for-byte
+identical however many workers ran.  Each chain count refuses work past
+``DEFAULT_STATE_CAP`` before its DP starts, so an oversized k ends the
+scan in ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .counting import (
-    DEFAULT_STATE_CAP,
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
@@ -68,10 +70,7 @@ class ShapeReport:
 
 def _count_chunk(args: tuple[list[tuple[int, ...]], int]) -> list[int]:
     parts_list, k = args
-    return [
-        _weak_chains_transfer(profile(Partition(parts)), k, DEFAULT_STATE_CAP)
-        for parts in parts_list
-    ]
+    return [_weak_chains_transfer(profile(Partition(parts)), k) for parts in parts_list]
 
 
 def _subpartition_maxima(n: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -113,8 +112,8 @@ def find_maximizers(
     k-chain count (the subpartition count when k = 1).
 
     Refuses upfront when p(n) exceeds the cap; nothing partial is kept.
-    ``jobs`` worker processes (at most one per CPU) share the chain DP of
-    a k >= 2 scan; the k = 1 scan always runs in this process.
+    ``jobs`` worker processes (at most one per CPU) share the chain counts
+    of a k >= 2 scan; the k = 1 scan always runs in this process.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -11,6 +11,7 @@ import it directly.
 from itertools import product
 
 from .envelope import DiscreteFunction
+from .partitions import Partition, profile
 
 
 def partitions_of(n):
@@ -82,6 +83,63 @@ def poset_chain_count(parts, k, strict=False):
             for mu in subs
         }
     return sum(level.values())
+
+
+def transfer_chain_count(parts, k):
+    """Weak k-chains below lam by a column transfer DP over nested k-tuples
+    of bridge heights: the state at column j is the weakly decreasing
+    tuple of the k bridges' heights, and every column tries all 2^k sign
+    steps.  Exponential in k; the package uses a k x k determinant."""
+    prof = profile(Partition(tuple(parts)))
+    start = (abs(prof.lo),) * k
+    ways = {start: 1}
+    signs = tuple(product((-1, 1), repeat=k))
+    for j in range(prof.lo + 1, prof.hi + 1):
+        ceiling = prof.value(j)
+        floor = abs(j)
+        new = {}
+        for heights, c in ways.items():
+            for step in signs:
+                nh = tuple(h + s for h, s in zip(heights, step))
+                if nh[0] > ceiling or nh[-1] < floor:
+                    continue
+                if any(a < b for a, b in zip(nh, nh[1:])):
+                    continue
+                new[nh] = new.get(nh, 0) + c
+        ways = new
+    return ways.get((abs(prof.hi),) * k, 1 if prof.lo == prof.hi else 0)
+
+
+def binomial_chain_count(parts, k):
+    """Weak k-chains below lam, which are the plane partitions of shape
+    lam with entries at most k, as the len(lam) x len(lam) binomial
+    determinant det[C(lam_i + k, k + i - j)] of Gessel and Viennot (1985),
+    by Gaussian elimination over the rationals."""
+    # imported here so that loading the CLI does not load fractions
+    from fractions import Fraction
+    from math import comb
+
+    size = len(parts)
+    m = [
+        [Fraction(comb(parts[i] + k, k + i - j) if k + i - j >= 0 else 0) for j in range(size)]
+        for i in range(size)
+    ]
+    det = Fraction(1)
+    for i in range(size):
+        pivot = next((r for r in range(i, size) if m[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, size):
+            factor = m[r][i] / m[i][i]
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
+    if det.denominator != 1:
+        raise ValueError(f"binomial determinant for {parts}, k={k} is not an integer: {det}")
+    return det.numerator
 
 
 def macmahon_box(a, b, c):

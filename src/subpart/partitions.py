@@ -15,6 +15,9 @@ from functools import cached_property
 from typing import Iterator
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# Largest DP a single count may set up: the profile window lambda_1 +
+# len(lambda) of a parsed partition, and k^2 times that window for k-chains.
+DEFAULT_STATE_CAP = 1_000_000
 
 
 class PartitionFormatError(ValueError):
@@ -55,7 +58,11 @@ class Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse comma-separated decreasing parts; the empty string is the empty partition."""
+    """Parse comma-separated decreasing parts; the empty string is the empty partition.
+
+    Raises ResourceLimitError when lambda_1 + len(lambda), the profile
+    window every count and bound walks, exceeds ``DEFAULT_STATE_CAP``.
+    """
     text = text.strip()
     if not text:
         return Partition(())
@@ -66,9 +73,13 @@ def parse_partition(text: str) -> Partition:
             raise PartitionFormatError(f"bad part {token!r} in partition text {text!r}")
         parts.append(int(token))
     try:
-        return Partition(tuple(parts))
+        lam = Partition(tuple(parts))
     except ValueError as exc:
         raise PartitionFormatError(str(exc)) from exc
+    window = lam.parts[0] + len(lam.parts)
+    if window > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(f"partition window {window} exceeds cap {DEFAULT_STATE_CAP}")
+    return lam
 
 
 def format_partition(lam: Partition) -> str:

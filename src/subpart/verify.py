@@ -446,7 +446,7 @@ def check_bridge_bijection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 
 
 def check_counting_brute_force(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
-    """Row DP and chain transfer DP against explicit enumeration over the
+    """Row DP and chain determinant against explicit enumeration over the
     subpartition poset, weak and strict, k <= 3."""
     count = 0
     for lam in _all_partitions_upto(caps.brute_n):
@@ -573,12 +573,12 @@ def check_maximizer_ground_truth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]
 
 
 def check_maximizer_closure(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
-    jobs = ctx.get("jobs", 1)
     for n in range(1, caps.closure_n + 1):
-        report = find_maximizers(n, 1, jobs=jobs)
+        report = find_maximizers(n, 1)
         got = {m.parts for m in report.maximizers}
         if any(conjugate(m).parts not in got for m in report.maximizers):
             return False, f"k=1 closure fails at n={n}"
+    jobs = ctx.get("jobs", 1)
     for n in range(1, caps.closure_chain_n + 1):
         report = find_maximizers(n, 2, jobs=jobs)
         got = {m.parts for m in report.maximizers}
@@ -588,10 +588,9 @@ def check_maximizer_closure(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 
 
 def check_maximizer_growth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
-    jobs = ctx.get("jobs", 1)
     prev = 0
     for n in range(1, caps.growth_n + 1):
-        report = find_maximizers(n, 1, jobs=jobs)
+        report = find_maximizers(n, 1)
         if report.max_count.value <= prev:
             return False, f"max count not strictly increasing at n={n}"
         prev = report.max_count.value
@@ -605,9 +604,8 @@ def check_limit_shape_trend(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     envelopes never beat the curve's functional value."""
     if not caps.run_trend:
         return True, "skipped at fast level"
-    jobs = ctx.get("jobs", 1)
-    small = convergence_table(list(range(1, 6)), 1, jobs=jobs)
-    large = convergence_table(list(range(25, 36)), 1, jobs=jobs)
+    small = convergence_table(list(range(1, 6)), 1)
+    large = convergence_table(list(range(25, 36)), 1)
     d_small = min(r.distance_to_vershik for r in small)
     d_large = min(r.distance_to_vershik for r in large)
     if d_large >= d_small:

@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from subpart import cli, maximizer
+from subpart import cli, partitions
 from subpart.render import MAXIMIZE_COLUMNS
 from subpart.verify import CHECKS
 
@@ -167,9 +168,23 @@ def test_exit_code_resource(capsys):
     assert run_cli(capsys, "maximize", "--n", "40", "--cap", "10")[0] == 3
 
 
-def test_chain_scan_state_cap_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(maximizer, "DEFAULT_STATE_CAP", 1)
-    assert run_cli(capsys, "maximize", "--n", "6", "--k", "2")[0] == 3
+def test_chain_count_cap_exits_3_upfront(capsys):
+    for argv in (
+        ["count", "1", "--k", "1000"],
+        ["count", "1", "--k", "1000", "--strict"],
+        ["maximize", "--n", "6", "--k", "1000"],
+    ):
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv) == (3, "")
+        assert time.perf_counter() - start < 1.0, argv
+
+
+@pytest.mark.parametrize("command", ["count", "bound"])
+def test_partition_window_cap_exits_3(capsys, monkeypatch, command):
+    monkeypatch.setattr(partitions, "DEFAULT_STATE_CAP", 10)
+    assert run_cli(capsys, command, "20") == (3, "")
+    assert run_cli(capsys, command, "9,1") == (3, "")
+    assert run_cli(capsys, command, "8,1")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -115,8 +115,12 @@ def test_kchains_validation_and_caps():
         count_kchains(Partition((2, 1)), 0)
     with pytest.raises(TypeError):
         count_kchains(Partition((2, 1)), 2, method="nonsense")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(TypeError):
         count_kchains(Partition((3, 3, 3)), 3, state_cap=2)
+    with pytest.raises(ResourceLimitError):
+        count_kchains(Partition((1,)), 1000)
+    with pytest.raises(ResourceLimitError):
+        count_kchains(Partition((1,)), 1000, strict=True)
 
 
 def test_envelope_bound_frozen_and_dominant():

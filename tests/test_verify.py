@@ -5,6 +5,11 @@ import pytest
 from subpart.verify import CHECKS, FAST, FULL, random_shape, run_verification
 
 
+def test_registry_holds_32_checks():
+    # the benchmark's verify workload requires exactly 32 PASS lines
+    assert len(CHECKS) == 32
+
+
 def test_fast_suite_passes():
     results = run_verification("fast", seed=2718)
     assert len(results) == len(CHECKS)
