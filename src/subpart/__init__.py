@@ -14,7 +14,6 @@ from .counting import (
 )
 from .envelope import (
     DiscreteFunction,
-    EnergySpec,
     decreasing_lower_convex_envelope,
     lower_convex_envelope,
     path_energy,
@@ -22,7 +21,6 @@ from .envelope import (
 from .maximizer import (
     MaximizerReport,
     ShapeReport,
-    convergence_table,
     find_maximizers,
     shape_report,
 )
@@ -47,7 +45,6 @@ from .ratefn import (
     rate_function_numeric,
     shape_functional,
     verify_constants,
-    vershik_curve,
 )
 from .shapes import PiecewiseLinearShape, rescale, sup_distance
 
@@ -57,7 +54,6 @@ __all__ = [
     "ConstantsReport",
     "CountResult",
     "DiscreteFunction",
-    "EnergySpec",
     "EnvelopeBound",
     "LatticeProfile",
     "MaximizerReport",
@@ -68,7 +64,6 @@ __all__ = [
     "ShapeReport",
     "VershikCurve",
     "conjugate",
-    "convergence_table",
     "count_bridges_below",
     "count_kchains",
     "count_subpartitions",
@@ -93,6 +88,5 @@ __all__ = [
     "shape_report",
     "sup_distance",
     "verify_constants",
-    "vershik_curve",
     "__version__",
 ]

@@ -3,7 +3,7 @@
 Commands: count, pn, bound, maximize, table, shape, verify.  Each command
 accepts only the flags its handler reads: every command takes --format and
 --out (shape and verify render only text and json); the scans (maximize,
-table, shape) add --jobs and --cap; verify adds --jobs and --seed.
+table, shape) add --jobs and --cap; verify adds --level and --seed.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """
@@ -20,7 +20,7 @@ from .counting import (
     envelope_count_bound,
     partition_count,
 )
-from .maximizer import convergence_table, find_maximizers, shape_report
+from .maximizer import check_scan, find_maximizers, shape_report
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     PartitionFormatError,
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.add_argument("--k", type=int, default=1)
     p_shape.set_defaults(handler=cmd_shape)
 
-    p_verify = sub.add_parser("verify", parents=[text_or_json, jobs], help="run the self-verification suites")
+    p_verify = sub.add_parser("verify", parents=[text_or_json], help="run the self-verification suites")
     p_verify.add_argument("--level", choices=["fast", "full"], default="fast")
     p_verify.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
@@ -211,8 +211,8 @@ def cmd_maximize(args) -> int:
     return 0
 
 
-def _parse_n_values(spec: str) -> list[int]:
-    values: list[int] = []
+def _parse_n_ranges(spec: str) -> list[range]:
+    ranges: list[range] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if "-" in chunk[1:]:
@@ -220,20 +220,26 @@ def _parse_n_values(spec: str) -> list[int]:
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise PartitionFormatError(f"empty range {chunk!r}")
-            values.extend(range(lo, hi + 1))
+            ranges.append(range(lo, hi + 1))
         elif chunk:
-            values.append(int(chunk))
-    if not values:
+            n = int(chunk)
+            ranges.append(range(n, n + 1))
+    if not ranges:
         raise PartitionFormatError(f"no n values in {spec!r}")
-    return values
+    return ranges
 
 
 def cmd_table(args) -> int:
     try:
-        n_values = _parse_n_values(args.n)
+        ranges = _parse_n_ranges(args.n)
     except ValueError as exc:
         raise PartitionFormatError(str(exc)) from exc
-    reports = convergence_table(n_values, args.k, jobs=args.jobs, cap=args.cap)
+    # refuse the whole table before scanning any of it
+    check_scan(min(r[0] for r in ranges), args.k, args.cap)
+    check_scan(max(r[-1] for r in ranges), args.k, args.cap)
+    reports = [
+        find_maximizers(n, args.k, jobs=args.jobs, cap=args.cap) for r in ranges for n in r
+    ]
     if args.format == "json":
         _emit(render.to_json([render.report_payload(r) for r in reports]), args)
     elif args.format == "csv":
@@ -261,7 +267,7 @@ def cmd_shape(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(level=args.level, seed=args.seed, jobs=args.jobs)
+    results = run_verification(level=args.level, seed=args.seed)
     if args.format == "json":
         payload = [
             {

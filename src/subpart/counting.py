@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count, islice
+from typing import Iterator
 
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .partitions import (
@@ -233,17 +234,24 @@ def envelope_count_bound(prof: LatticeProfile) -> EnvelopeBound:
 
 
 def partition_count(n: int) -> CountResult:
-    """p(n) by Euler's pentagonal-number recurrence, tabulated upward."""
+    """p(n) by Euler's pentagonal-number recurrence, tabulated upward.
+
+    Refuses n past ``DEFAULT_STATE_CAP`` before the table is built.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return CountResult(
-        value=_pentagonal_iterative(n), method=PENTAGONAL_ITERATIVE, params={"n": n}
-    )
+    if n > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(f"p({n}) table exceeds cap {DEFAULT_STATE_CAP}")
+    value = next(islice(_partition_numbers(), n, None))
+    return CountResult(value=value, method=PENTAGONAL_ITERATIVE, params={"n": n})
 
 
-def _pentagonal_iterative(n: int) -> int:
-    table = [1] + [0] * n
-    for m in range(1, n + 1):
+def _partition_numbers() -> Iterator[int]:
+    """p(0), p(1), p(2), ... without end, each from the ones before it by
+    Euler's pentagonal-number recurrence."""
+    table = [1]
+    yield 1
+    for m in count(1):
         total = 0
         k = 1
         while True:
@@ -256,8 +264,8 @@ def _pentagonal_iterative(n: int) -> int:
             if g2 <= m:
                 total += sign * table[m - g2]
             k += 1
-        table[m] = total
-    return table[n]
+        table.append(total)
+        yield total
 
 
 def hardy_ramanujan_exponent(n: int, k: int = 1) -> float:

@@ -10,7 +10,7 @@ which follows the plain one until the minimum of f and stays flat after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -39,21 +39,6 @@ class DiscreteFunction:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
 
 
-@dataclass(frozen=True)
-class EnergySpec:
-    """A convex per-increment cost.  The default is the rate function of a
-    symmetric +-1 step, which is +infinity outside [-1, 1]."""
-
-    name: str
-    psi: Callable[[float], float] = field(compare=False)
-
-    @classmethod
-    def default(cls) -> "EnergySpec":
-        from .ratefn import rate_function
-
-        return cls("rate-function", rate_function)
-
-
 def lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
     """Greatest convex minorant, computed by a monotone-chain lower hull
     scan over the points (i, f(i)) and interpolated back to the grid."""
@@ -76,13 +61,12 @@ def decreasing_lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
     return DiscreteFunction(f.lo, vals)
 
 
-def path_energy(f: DiscreteFunction, spec: EnergySpec | None = None) -> float:
-    """Sum of psi over the increments of f; +infinity propagates."""
-    if spec is None:
-        spec = EnergySpec.default()
+def path_energy(f: DiscreteFunction, psi: Callable[[float], float]) -> float:
+    """Sum of the convex cost psi over the increments of f; +infinity
+    propagates."""
     total = 0.0
     for d in f.increments():
-        v = spec.psi(d)
+        v = psi(d)
         if math.isinf(v):
             return math.inf
         total += v

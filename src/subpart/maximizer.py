@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .counting import (
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
+    _partition_numbers,
     _row_step,
     _weak_chains_transfer,
-    partition_count,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -111,16 +110,11 @@ def find_maximizers(
     """Scan every partition of n and report all maximizers of the weak
     k-chain count (the subpartition count when k = 1).
 
-    Refuses upfront when p(n) exceeds the cap; nothing partial is kept.
+    Refuses upfront, through ``check_scan``; nothing partial is kept.
     ``jobs`` worker processes (at most one per CPU) share the chain counts
     of a k >= 2 scan; the k = 1 scan always runs in this process.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if partition_count(n).value > cap:
-        raise ResourceLimitError(f"p({n}) exceeds enumeration cap {cap}")
+    check_scan(n, k, cap)
     if k == 1:
         best, winners = _subpartition_maxima(n)
     else:
@@ -146,9 +140,27 @@ def find_maximizers(
     )
 
 
+def check_scan(n: int, k: int, cap: int) -> None:
+    """Refuse a scan of the partitions of n before any of its work: n or k
+    below 1 raises ValueError, p(n) past cap raises ResourceLimitError.
+
+    p is increasing, so tabulating it stops at the first value past cap.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    for _, p in zip(range(n + 1), _partition_numbers()):
+        if p > cap:
+            raise ResourceLimitError(f"p({n}) exceeds enumeration cap {cap}")
+
+
 def _all_counts(candidates: list[tuple[int, ...]], k: int, jobs: int) -> list[int]:
     if jobs <= 1 or len(candidates) < 4 * jobs:
         return _count_chunk((candidates, k))
+    # imported here so that loading the CLI does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = (len(candidates) + 4 * jobs - 1) // (4 * jobs)
     batches = [
         (candidates[i : i + chunk], k) for i in range(0, len(candidates), chunk)
@@ -158,15 +170,6 @@ def _all_counts(candidates: list[tuple[int, ...]], k: int, jobs: int) -> list[in
         for partial in pool.map(_count_chunk, batches):
             out.extend(partial)
     return out
-
-
-def convergence_table(
-    n_values: list[int],
-    k: int = 1,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[MaximizerReport]:
-    return [find_maximizers(n, k=k, jobs=jobs, cap=cap) for n in n_values]
 
 
 def shape_report(

@@ -11,7 +11,7 @@ import it directly.
 from itertools import product
 
 from .envelope import DiscreteFunction
-from .partitions import Partition, profile
+from .partitions import LatticeProfile, Partition, profile
 
 
 def partitions_of(n):
@@ -30,6 +30,20 @@ def partitions_of(n):
 
     grow(n, 1, [])
     return out
+
+
+def diagonal_profile(parts):
+    """Profile of the partition with these parts, cell by cell: G(j) = |j|
+    plus twice the number of cells on diagonal j, O(lam_1 * len(lam))."""
+    if not parts:
+        return LatticeProfile(0, 0, (0,))
+    lo, hi = -len(parts), parts[0]
+    diag = [0] * (hi - lo + 1)
+    for i, p in enumerate(parts, start=1):
+        # cells in row i occupy diagonals 1-i .. p-i
+        for j in range(1 - i, p - i + 1):
+            diag[j - lo] += 1
+    return LatticeProfile(lo, hi, tuple(abs(j) + 2 * diag[j - lo] for j in range(lo, hi + 1)))
 
 
 def brute_subpartitions(parts):

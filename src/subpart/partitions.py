@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -172,15 +173,16 @@ def profile(lam: Partition) -> LatticeProfile:
 
     Diagonal j collects the cells (i, c) of the Young diagram with c - i = j
     (rows and columns 1-based).  The window is [-len(lam), lam_1], collapsing
-    to [0, 0] for the empty partition.
+    to [0, 0] for the empty partition.  The heights come from walking the
+    diagram's boundary from j = -len(lam), where G = len(lam): from the last
+    row up, each row steps +1 once per unit it is longer than the row below
+    it, then -1 up its right edge; O(lam_1 + len(lam)) in all.
     """
-    if not lam.parts:
+    parts = lam.parts
+    if not parts:
         return LatticeProfile(0, 0, (0,))
-    lo, hi = -len(lam.parts), lam.parts[0]
-    diag = [0] * (hi - lo + 1)
-    for i, p in enumerate(lam.parts, start=1):
-        # cells in row i occupy diagonals 1-i .. p-i
-        for j in range(1 - i, p - i + 1):
-            diag[j - lo] += 1
-    heights = tuple(abs(j) + 2 * diag[j - lo] for j in range(lo, hi + 1))
-    return LatticeProfile(lo, hi, heights)
+    steps: list[int] = []
+    for p, below in zip(reversed(parts), reversed(parts[1:] + (0,))):
+        steps += [1] * (p - below)
+        steps.append(-1)
+    return LatticeProfile(-len(parts), parts[0], tuple(accumulate(steps, initial=len(parts))))

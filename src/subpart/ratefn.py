@@ -94,9 +94,6 @@ class VershikCurve:
         ax = abs(x)
         return ax + math.log1p(math.exp(-2.0 * self.beta * ax)) / self.beta
 
-    def __call__(self, x: float) -> float:
-        return self.value(x)
-
     def slope(self, x: float) -> float:
         return math.tanh(self.beta * x)
 
@@ -107,10 +104,6 @@ class VershikCurve:
 
 
 _CURVE = VershikCurve()
-
-
-def vershik_curve(x: float) -> float:
-    return _CURVE.value(x)
 
 
 def shape_functional(shape) -> float:

@@ -20,11 +20,6 @@ from .partitions import LatticeProfile
 
 _EDGE_TOL = 1e-9
 
-# Grid used when neither side is piecewise-linear: 20001 uniform samples
-# spanning the widest analytic window in play.
-_FALLBACK_SAMPLES = 20001
-_FALLBACK_HALF_WIDTH = 40.0
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearShape:
@@ -68,9 +63,6 @@ class PiecewiseLinearShape:
         x0, y0 = kinks[i]
         x1, y1 = kinks[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def __call__(self, x: float) -> float:
-        return self.value(x)
 
     def segments(self) -> list[tuple[float, float, float]]:
         """Finite pieces as (x0, x1, slope), excluding the two |x| tails."""
@@ -128,8 +120,8 @@ def sup_distance(f, g) -> float:
 
     Exact when both shapes are piecewise-linear (evaluated on the union of
     kinks) and when one side is analytic (kinks plus interior stationary
-    points located through slope_inverse).  Falls back to a documented
-    uniform grid when neither side is piecewise-linear.
+    points located through slope_inverse).  Raises TypeError when neither
+    side is piecewise-linear.
     """
     f_pl = isinstance(f, PiecewiseLinearShape)
     g_pl = isinstance(g, PiecewiseLinearShape)
@@ -139,17 +131,13 @@ def sup_distance(f, g) -> float:
         for x in {0.0} | {x for x, _ in f.kinks} | {x for x, _ in g.kinks}:
             best = max(best, abs(f.value(x) - g.value(x)))
         return best
-    if f_pl or g_pl:
-        pl, curve = (f, g) if f_pl else (g, f)
-        xs = {0.0} | {x for x, _ in pl.kinks}
-        best = max(abs(pl.value(x) - curve.value(x)) for x in xs)
-        for x0, x1, slope in pl.segments():
-            xstar = curve.slope_inverse(slope)
-            if xstar is not None and x0 < xstar < x1:
-                best = max(best, abs(pl.value(xstar) - curve.value(xstar)))
-        return best
-    best = 0.0
-    for i in range(_FALLBACK_SAMPLES):
-        x = -_FALLBACK_HALF_WIDTH + 2 * _FALLBACK_HALF_WIDTH * i / (_FALLBACK_SAMPLES - 1)
-        best = max(best, abs(f.value(x) - g.value(x)))
+    if not (f_pl or g_pl):
+        raise TypeError("sup_distance needs at least one piecewise-linear shape")
+    pl, curve = (f, g) if f_pl else (g, f)
+    xs = {0.0} | {x for x, _ in pl.kinks}
+    best = max(abs(pl.value(x) - curve.value(x)) for x in xs)
+    for x0, x1, slope in pl.segments():
+        xstar = curve.slope_inverse(slope)
+        if xstar is not None and x0 < xstar < x1:
+            best = max(best, abs(pl.value(xstar) - curve.value(xstar)))
     return best

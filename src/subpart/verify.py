@@ -10,10 +10,6 @@ The independent routes the counting checks compare against (enumeration,
 the poset chain counter, MacMahon's box product, the memoized pentagonal
 recurrence) and the random grids of the envelope checks come from
 ``subpart.oracles``, which the test suite shares.
-
-The rate-function oracle check accepts an override of the closed form so a
-harness can inject a broken implementation and watch exactly this check
-fail (a mutation sanity test for the verifier itself).
 """
 
 from __future__ import annotations
@@ -35,12 +31,11 @@ from .counting import (
 )
 from .envelope import (
     DiscreteFunction,
-    EnergySpec,
     decreasing_lower_convex_envelope,
     lower_convex_envelope,
     path_energy,
 )
-from .maximizer import convergence_table, find_maximizers
+from .maximizer import find_maximizers
 from .partitions import Partition, conjugate, enumerate_partitions, is_subpartition, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
@@ -147,7 +142,7 @@ def _all_partitions_upto(n_max: int) -> list[Partition]:
 # ---------------------------------------------------------------- partitions
 
 
-def check_profile_order(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Containment of diagrams must match pointwise order of profiles."""
     lams = _all_partitions_upto(caps.order_pairs_n)
     checked = 0
@@ -164,7 +159,7 @@ def check_profile_order(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{checked} ordered pairs, sizes <= {caps.order_pairs_n}"
 
 
-def check_profile_area(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_profile_area(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.area_n):
         if profile(lam).excess_area() != 2 * lam.n:
@@ -173,7 +168,7 @@ def check_profile_area(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{count} profiles, n <= {caps.area_n}"
 
 
-def check_profile_steps(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_profile_steps(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.area_n):
         prof = profile(lam)
@@ -185,7 +180,7 @@ def check_profile_steps(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{count} profiles, n <= {caps.area_n}"
 
 
-def check_conjugation_reflection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_conjugation_reflection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.conjugation_n):
         pl = profile(lam)
@@ -198,7 +193,7 @@ def check_conjugation_reflection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]
     return True, f"{count} partitions, n <= {caps.conjugation_n}"
 
 
-def check_enumeration_count(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_enumeration_count(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for n in range(caps.enumeration_n + 1):
         seen = list(enumerate_partitions(n))
         if len(seen) != partition_count(n).value:
@@ -235,36 +230,34 @@ def _random_minorant(
     return DiscreteFunction(f.lo, tuple(values))
 
 
-def check_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_envelope_energy(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Pinned-both-ends optimality: no sampled path below f beats the
     envelope's energy, and the envelope itself is a valid competitor."""
-    spec = EnergySpec("rate-function", rate_function)
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
-        jh = path_energy(h, spec)
+        jh = path_energy(h, rate_function)
         if math.isinf(jh):
             return False, f"trial {trial}: envelope energy infinite"
         if h.values[0] != f.values[0] or h.values[-1] != f.values[-1]:
             return False, f"trial {trial}: envelope not pinned"
         if any(hv > fv + 1e-12 for hv, fv in zip(h.values, f.values)):
             return False, f"trial {trial}: envelope above f"
-        if path_energy(h, spec) != jh:
+        if path_energy(h, rate_function) != jh:
             return False, f"trial {trial}: energy not reproducible"
         for _ in range(5):
             g = _random_minorant(rng, f, pin_right=True)
-            if path_energy(g, spec) < jh - 1e-9:
+            if path_energy(g, rate_function) < jh - 1e-9:
                 return False, f"trial {trial}: sampled path beats envelope"
     return True, f"{caps.envelope_trials} trials, 5 minorants each"
 
 
-def check_decreasing_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_decreasing_envelope_energy(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Pinned-left optimality against the decreasing envelope."""
-    spec = EnergySpec("rate-function", rate_function)
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
         h = decreasing_lower_convex_envelope(f)
-        jh = path_energy(h, spec)
+        jh = path_energy(h, rate_function)
         if math.isinf(jh):
             return False, f"trial {trial}: envelope energy infinite"
         if h.values[0] != f.values[0]:
@@ -275,12 +268,12 @@ def check_decreasing_envelope_energy(caps: VerifyCaps, rng, ctx) -> tuple[bool, 
             return False, f"trial {trial}: envelope above f"
         for _ in range(5):
             g = _random_minorant(rng, f, pin_right=False)
-            if path_energy(g, spec) < jh - 1e-9:
+            if path_energy(g, rate_function) < jh - 1e-9:
                 return False, f"trial {trial}: sampled path beats envelope"
     return True, f"{caps.envelope_trials} trials, 5 minorants each"
 
 
-def check_envelope_idempotent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_envelope_idempotent(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
@@ -290,7 +283,7 @@ def check_envelope_idempotent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{caps.envelope_trials} trials"
 
 
-def check_envelope_monotone(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_envelope_monotone(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
         g = DiscreteFunction(
@@ -303,7 +296,7 @@ def check_envelope_monotone(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{caps.envelope_trials} trials"
 
 
-def check_jensen_step(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_jensen_step(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """On each linear run of the envelope, the straightened increments can
     only lower the summed rate."""
     for trial in range(caps.envelope_trials):
@@ -329,20 +322,19 @@ def check_jensen_step(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 # ------------------------------------------------------------- rate function
 
 
-def check_rate_oracle(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_rate_oracle(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Closed form against the bisection Legendre transform."""
-    closed: Callable[[float], float] = ctx.get("rate_function") or rate_function
     pts = caps.rate_points
     worst = 0.0
     for i in range(pts):
         x = -0.999 + 1.998 * i / (pts - 1)
-        worst = max(worst, abs(closed(x) - rate_function_numeric(x)))
+        worst = max(worst, abs(rate_function(x) - rate_function_numeric(x)))
     if worst >= 1e-9:
         return False, f"max deviation {worst:.3e} >= 1e-9"
     return True, f"{pts} points on [-0.999, 0.999], max deviation {worst:.3e}"
 
 
-def check_rate_derivative(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_rate_derivative(caps: VerifyCaps, rng) -> tuple[bool, str]:
     worst = 0.0
     pts = 500
     for i in range(pts):
@@ -354,7 +346,7 @@ def check_rate_derivative(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{pts} points, max residual {worst:.3e}"
 
 
-def check_limit_constants(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_limit_constants(caps: VerifyCaps, rng) -> tuple[bool, str]:
     report = verify_constants()
     bounds = {
         "tail_integral_residual": 1e-8,
@@ -385,7 +377,7 @@ def random_shape(rng: random.Random, half_width: int = 4) -> PiecewiseLinearShap
     return shape
 
 
-def check_functional_scaling(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_functional_scaling(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """shape_functional(rescaled) must scale exactly like the length unit."""
     for alpha in (0.25, 0.5, 2.0, 4.0):
         for _ in range(10):
@@ -398,7 +390,7 @@ def check_functional_scaling(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, "alpha in {0.25, 0.5, 2, 4}, 10 shapes each"
 
 
-def check_envelope_improves_functional(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_envelope_improves_functional(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
         shape = random_shape(rng)
         env = shape.envelope()
@@ -407,7 +399,7 @@ def check_envelope_improves_functional(caps: VerifyCaps, rng, ctx) -> tuple[bool
     return True, f"{caps.envelope_trials} random shapes"
 
 
-def check_functional_optimality(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """No tested member of the shape space beats the limit curve's value."""
     limit = FUNCTIONAL_MAX + 1e-9
     shapes = [PiecewiseLinearShape(((-1.0, 1.0), (1.0, 1.0)))]
@@ -434,7 +426,7 @@ def check_functional_optimality(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 # ------------------------------------------------------------------ counting
 
 
-def check_bridge_bijection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_bridge_bijection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.bridge_n):
         a = count_subpartitions(lam).value
@@ -445,7 +437,7 @@ def check_bridge_bijection(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{count} partitions, n <= {caps.bridge_n}"
 
 
-def check_counting_brute_force(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_counting_brute_force(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Row DP and chain determinant against explicit enumeration over the
     subpartition poset, weak and strict, k <= 3."""
     count = 0
@@ -465,7 +457,7 @@ def check_counting_brute_force(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"{count} partitions, n <= {caps.brute_n}, k <= 3"
 
 
-def check_macmahon_box(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_macmahon_box(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Weak chains in a rectangle against the box product formula."""
     for a in range(1, 4):
         for b in range(1, 4):
@@ -477,14 +469,14 @@ def check_macmahon_box(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, "all boxes a, b, k <= 3"
 
 
-def check_count_conjugation(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_count_conjugation(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for lam in _all_partitions_upto(caps.conjugation_n):
         if count_subpartitions(lam).value != count_subpartitions(conjugate(lam)).value:
             return False, f"conjugation changes count at {lam}"
     return True, f"n <= {caps.conjugation_n}"
 
 
-def check_envelope_bound(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Log of every count stays under the envelope bound; k-chains under k
     times it."""
     for lam in _all_partitions_upto(caps.bound_n):
@@ -498,7 +490,7 @@ def check_envelope_bound(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"n <= {caps.bound_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
 
 
-def check_crude_bound(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_crude_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for lam in _all_partitions_upto(caps.crude_n):
         if lam.n == 0:
             continue
@@ -507,7 +499,7 @@ def check_crude_bound(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"n <= {caps.crude_n}"
 
 
-def check_count_monotonicity(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_count_monotonicity(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Adding any single box strictly increases the subpartition count."""
     for lam in _all_partitions_upto(caps.monotonicity_n):
         base = count_subpartitions(lam).value
@@ -525,7 +517,7 @@ def check_count_monotonicity(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"n <= {caps.monotonicity_n}"
 
 
-def check_pentagonal(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_pentagonal(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for n in range(caps.pentagonal_n + 1):
         by_enum = sum(1 for _ in enumerate_partitions(n))
         if partition_count(n).value != by_enum:
@@ -539,7 +531,7 @@ def check_pentagonal(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"n <= {caps.pentagonal_n} vs enumeration; p(100) = {a} twice"
 
 
-def check_hr_exponent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_hr_exponent(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for n in (1, 6, 24, 54):
         for k in (1, 2, 3):
             expected = k * math.pi * math.sqrt(2.0 * n / 3.0)
@@ -553,7 +545,7 @@ def check_hr_exponent(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
 # ----------------------------------------------------------------- maximizer
 
 
-def check_maximizer_ground_truth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_maximizer_ground_truth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     report = find_maximizers(4, 1)
     got = {m.parts for m in report.maximizers}
     if got != {(3, 1), (2, 1, 1)} or report.max_count.value != 7:
@@ -572,22 +564,21 @@ def check_maximizer_ground_truth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]
     return True, f"n=4: k=1 -> {{(3,1),(2,1,1)}} at 7; k=2 -> {sorted(got2)} at {best}"
 
 
-def check_maximizer_closure(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for n in range(1, caps.closure_n + 1):
         report = find_maximizers(n, 1)
         got = {m.parts for m in report.maximizers}
         if any(conjugate(m).parts not in got for m in report.maximizers):
             return False, f"k=1 closure fails at n={n}"
-    jobs = ctx.get("jobs", 1)
     for n in range(1, caps.closure_chain_n + 1):
-        report = find_maximizers(n, 2, jobs=jobs)
+        report = find_maximizers(n, 2)
         got = {m.parts for m in report.maximizers}
         if any(conjugate(m).parts not in got for m in report.maximizers):
             return False, f"k=2 closure fails at n={n}"
     return True, f"k=1 n <= {caps.closure_n}, k=2 n <= {caps.closure_chain_n}"
 
 
-def check_maximizer_growth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_maximizer_growth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     prev = 0
     for n in range(1, caps.growth_n + 1):
         report = find_maximizers(n, 1)
@@ -599,13 +590,13 @@ def check_maximizer_growth(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"strictly increasing with positive exponent gap, n <= {caps.growth_n}"
 
 
-def check_limit_shape_trend(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_limit_shape_trend(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Maximizer shapes drift toward the limit curve as n grows, and their
     envelopes never beat the curve's functional value."""
     if not caps.run_trend:
         return True, "skipped at fast level"
-    small = convergence_table(list(range(1, 6)), 1)
-    large = convergence_table(list(range(25, 36)), 1)
+    small = [find_maximizers(n, 1) for n in range(1, 6)]
+    large = [find_maximizers(n, 1) for n in range(25, 36)]
     d_small = min(r.distance_to_vershik for r in small)
     d_large = min(r.distance_to_vershik for r in large)
     if d_large >= d_small:
@@ -619,7 +610,7 @@ def check_limit_shape_trend(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"min d[25..35]={d_large:.4f} < min d[1..5]={d_small:.4f}"
 
 
-def check_chain_maximizer_comparison(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Recorded, not asserted: where the k=1 and k=2 maximizer sets agree."""
     same = []
     differ = []
@@ -633,7 +624,7 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng, ctx) -> tuple[bool, 
 # -------------------------------------------------------------------- cli-io
 
 
-def check_csv_determinism(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_csv_determinism(caps: VerifyCaps, rng) -> tuple[bool, str]:
     # k = 2: only chain scans spread over worker processes
     n = caps.determinism_n
     jobs = caps.determinism_jobs
@@ -644,7 +635,7 @@ def check_csv_determinism(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
     return True, f"n={n}, k=2: byte-identical across jobs=1 and jobs={jobs}"
 
 
-def check_json_roundtrip(caps: VerifyCaps, rng, ctx) -> tuple[bool, str]:
+def check_json_roundtrip(caps: VerifyCaps, rng) -> tuple[bool, str]:
     import json
 
     payloads = [
@@ -696,23 +687,17 @@ CHECKS: list[tuple[str, Callable]] = [
 ]
 
 
-def run_verification(
-    level: str = "fast",
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    rate_function_override: Callable[[float], float] | None = None,
-) -> list[CheckResult]:
+def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
     caps = FULL if level == "full" else FAST
-    ctx = {"jobs": jobs, "rate_function": rate_function_override}
     results = []
     for name, fn in CHECKS:
         # string seeds hash stably (sha512), unlike hash() under PYTHONHASHSEED
         rng = random.Random(f"{seed}:{name}")
         start = time.perf_counter()
         try:
-            passed, detail = fn(caps, rng, ctx)
+            passed, detail = fn(caps, rng)
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))

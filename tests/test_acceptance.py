@@ -20,7 +20,6 @@ from subpart.counting import (
 )
 from subpart.envelope import (
     DiscreteFunction,
-    EnergySpec,
     decreasing_lower_convex_envelope,
     lower_convex_envelope,
     path_energy,
@@ -139,26 +138,25 @@ def _random_minorant(rng, f, pin_right):
 
 
 def test_criterion_07_lemma0_property_suite():
-    spec = EnergySpec("rate-function", rate_function)
     rng = random.Random(60502)
     violations = 0
     for _ in range(200):
         f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
-        jh = path_energy(h, spec)
-        assert path_energy(h, spec) == jh  # equality at g = h, exactly
+        jh = path_energy(h, rate_function)
+        assert path_energy(h, rate_function) == jh  # equality at g = h, exactly
         assert h.values[0] == f.values[0] and h.values[-1] == f.values[-1]
         g = _random_minorant(rng, f, pin_right=True)
-        if path_energy(g, spec) < jh - 1e-9:
+        if path_energy(g, rate_function) < jh - 1e-9:
             violations += 1
     for _ in range(200):
         f = oracles.random_grid(rng)
         h = decreasing_lower_convex_envelope(f)
-        jh = path_energy(h, spec)
-        assert path_energy(h, spec) == jh
+        jh = path_energy(h, rate_function)
+        assert path_energy(h, rate_function) == jh
         assert h.values[0] == f.values[0]
         g = _random_minorant(rng, f, pin_right=False)
-        if path_energy(g, spec) < jh - 1e-9:
+        if path_energy(g, rate_function) < jh - 1e-9:
             violations += 1
     assert violations == 0
 

@@ -6,8 +6,10 @@ import time
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from subpart import cli, partitions
+from subpart import cli, counting, partitions
 from subpart.render import MAXIMIZE_COLUMNS
 from subpart.verify import CHECKS
 
@@ -168,6 +170,28 @@ def test_exit_code_resource(capsys):
     assert run_cli(capsys, "maximize", "--n", "40", "--cap", "10")[0] == 3
 
 
+def test_scan_cap_refused_before_tabulating(capsys):
+    start = time.perf_counter()
+    assert run_cli(capsys, "maximize", "--n", "100000") == (3, "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_table_refused_before_any_scan(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("table scanned before checking its largest n")
+
+    monkeypatch.setattr(cli, "find_maximizers", scan)
+    assert run_cli(capsys, "table", "--n", "1-100") == (3, "")
+    assert run_cli(capsys, "table", "--n", "1-6", "--cap", "10") == (3, "")
+    assert run_cli(capsys, "table", "--n", "3,0") == (2, "")
+
+
+def test_pn_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 10)
+    assert run_cli(capsys, "pn", "11") == (3, "")
+    assert run_cli(capsys, "pn", "10") == (0, "42\n")
+
+
 def test_chain_count_cap_exits_3_upfront(capsys):
     for argv in (
         ["count", "1", "--k", "1000"],
@@ -189,7 +213,7 @@ def test_partition_window_cap_exits_3(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize(
     "command",
-    [["maximize", "--n", "4"], ["table", "--n", "4"], ["shape", "--n", "4"], ["verify"]],
+    [["maximize", "--n", "4"], ["table", "--n", "4"], ["shape", "--n", "4"]],
 )
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_rejected(command, jobs):
@@ -215,6 +239,7 @@ def test_unknown_command_exits_2():
         ["pn", "5", "--jobs", "2"],
         ["chains", "2,2", "--k", "2"],
         ["verify", "--format", "csv"],
+        ["verify", "--jobs", "2"],
     ],
 )
 def test_unread_flags_and_commands_rejected(argv):
@@ -230,6 +255,13 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_cli_import_leaves_pool_unloaded():
+    code = "import sys, subpart.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "subpart.cli", "pn", "10"],
@@ -238,3 +270,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "42\n"
+
+
+# Every command plus one unknown, every flag, and a small value vocabulary.
+# "full" is left out, so verify runs only at --level fast: a full run takes
+# about 2 s, too long to repeat across examples.
+_OUTPUT = ["--format", "--out"]
+_SCAN = _OUTPUT + ["--jobs", "--cap", "--n", "--k"]
+FUZZ_COMMANDS = {
+    "count": _OUTPUT + ["--k", "--strict"],
+    "pn": _OUTPUT,
+    "bound": _OUTPUT,
+    "maximize": _SCAN,
+    "table": _SCAN,
+    "shape": _SCAN,
+    "verify": _OUTPUT + ["--level", "--seed"],
+    "frobnicate": [],
+}
+FUZZ_FLAGS = sorted({flag for flags in FUZZ_COMMANDS.values() for flag in flags} | {"--help"})
+FUZZ_INTS = [str(i) for i in range(-3, 13)]
+FUZZ_TYPED = {
+    "--format": ["text", "json", "csv"],
+    "--out": ["out.txt", "missing/out.txt"],
+    "--level": ["fast"],
+}
+FUZZ_VALUES = FUZZ_INTS + ["", "x", "3,1", "1-3", "9-4"] + sorted(
+    {value for values in FUZZ_TYPED.values() for value in values}
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    # half the time the command gets what it requires and each flag it reads
+    # a value of its type, so the handlers run, not only the parser
+    typed = draw(st.booleans())
+    if typed and command in ("maximize", "table", "shape"):
+        argv += ["--n", draw(st.sampled_from(FUZZ_INTS))]
+    elif draw(st.booleans()) or (typed and command in ("count", "pn", "bound")):
+        argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+    flags = (typed and FUZZ_COMMANDS[command]) or FUZZ_FLAGS
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(flag)
+        if flag not in ("--strict", "--help"):
+            vocabulary = FUZZ_TYPED.get(flag, FUZZ_INTS) if typed else FUZZ_VALUES
+            argv.append(draw(st.sampled_from(vocabulary)))
+    return argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_argv())
+def test_any_argv_ends_in_a_documented_exit_code(tmp_path, monkeypatch, argv):
+    # shape writes its SVG into the working directory when --out is absent
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "verify"), (argv, code)

@@ -5,7 +5,6 @@ import pytest
 
 from subpart.envelope import (
     DiscreteFunction,
-    EnergySpec,
     decreasing_lower_convex_envelope,
     lower_convex_envelope,
     path_energy,
@@ -95,25 +94,21 @@ def test_decreasing_envelope_matches_oracle():
 
 
 def test_path_energy():
-    spec = EnergySpec.default()
-    assert spec.name == "rate-function"
     flat = DiscreteFunction(0, (1.0, 1.0, 1.0))
-    assert path_energy(flat) == 0.0
+    assert path_energy(flat, rate_function) == 0.0
     step = DiscreteFunction(0, (0.0, 1.0))
-    assert path_energy(step) == pytest.approx(math.log(2.0))
+    assert path_energy(step, rate_function) == pytest.approx(math.log(2.0))
     wild = DiscreteFunction(0, (0.0, 1.5))
-    assert math.isinf(path_energy(wild))
-    named = EnergySpec("square", lambda d: d * d)
-    assert path_energy(DiscreteFunction(0, (0.0, 2.0, 2.0)), named) == 4.0
+    assert math.isinf(path_energy(wild, rate_function))
+    assert path_energy(DiscreteFunction(0, (0.0, 2.0, 2.0)), lambda d: d * d) == 4.0
 
 
 def test_envelope_minimizes_energy_spot_check():
-    spec = EnergySpec("rate-function", rate_function)
     rng = random.Random(44)
     for _ in range(40):
         f = random_walk(rng, max_len=10)
         h = lower_convex_envelope(f)
-        jh = path_energy(h, spec)
+        jh = path_energy(h, rate_function)
         # competitor: straight chord between the endpoints, clipped under f
         n = len(f.values)
         chord = [
@@ -121,4 +116,4 @@ def test_envelope_minimizes_energy_spot_check():
             for i in range(n)
         ]
         g = DiscreteFunction(f.lo, tuple(min(c, v) for c, v in zip(chord, f.values)))
-        assert path_energy(g, spec) >= jh - 1e-9
+        assert path_energy(g, rate_function) >= jh - 1e-9

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -6,7 +7,6 @@ from subpart import maximizer
 from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
-    convergence_table,
     find_maximizers,
     shape_report,
 )
@@ -95,7 +95,7 @@ def test_pool_clamped_to_cpu_count(monkeypatch, jobs, cpus, workers):
         def map(self, fn, batches):
             return map(fn, batches)
 
-    monkeypatch.setattr(maximizer, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     monkeypatch.setattr(maximizer.os, "cpu_count", lambda: cpus)
     report = find_maximizers(12, k=2, jobs=jobs)
     assert created == [workers]
@@ -109,14 +109,6 @@ def test_input_validation_and_cap():
         find_maximizers(3, k=0)
     with pytest.raises(ResourceLimitError):
         find_maximizers(30, cap=100)
-
-
-def test_convergence_table():
-    reports = convergence_table([2, 4, 6])
-    assert [r.n for r in reports] == [2, 4, 6]
-    assert all(r.k == 1 for r in reports)
-    counts = [r.max_count.value for r in reports]
-    assert counts == sorted(counts)
 
 
 def test_shape_report_consistency():

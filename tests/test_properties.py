@@ -1,6 +1,7 @@
-"""Property tests: the row DP against the bridge DP and brute force, and
-the chain determinant against the transfer DP and the binomial
-determinant, on generated partitions.  Derandomized, so every run draws
+"""Property tests: the boundary-walk profile against the diagonal count,
+the row DP against the bridge DP and brute force, and the chain
+determinant against the transfer DP and the binomial determinant, on
+generated partitions.  Derandomized, so every run draws
 the same cases."""
 
 import math
@@ -17,6 +18,12 @@ def _partitions(max_parts: int, max_part: int):
     return st.lists(st.integers(1, max_part), max_size=max_parts).map(
         lambda parts: tuple(sorted(parts, reverse=True))
     )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_partitions(30, 40))
+def test_profile_walk_matches_diagonal_count(parts):
+    assert profile(Partition(parts)) == oracles.diagonal_profile(parts)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
