@@ -213,7 +213,8 @@ def test_partition_window_cap_exits_3(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize(
     "command",
-    [["maximize", "--n", "4"], ["table", "--n", "4"], ["shape", "--n", "4"]],
+    # verify takes no --jobs at all, so it refuses these values too.
+    [["maximize", "--n", "4"], ["table", "--n", "4"], ["shape", "--n", "4"], ["verify"]],
 )
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_rejected(command, jobs):
