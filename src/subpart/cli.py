@@ -3,7 +3,8 @@
 Commands: count, pn, bound, maximize, table, shape, verify.  Each command
 accepts only the flags its handler reads: every command takes --format and
 --out (shape and verify render only text and json); the scans (maximize,
-table, shape) add --jobs and --cap; verify adds --level and --seed.
+table, shape) add --cap, and --jobs, parsed but without effect; verify adds
+--level and --seed.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes for k >= 2 scans, at most one per CPU (default 1)",
+        help="accepted for compatibility; has no effect, scans run in one process",
     )
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
@@ -201,7 +202,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    report = find_maximizers(args.n, args.k, jobs=args.jobs, cap=args.cap)
+    report = find_maximizers(args.n, args.k, cap=args.cap)
     if args.format == "json":
         _emit(render.to_json(render.report_payload(report)), args)
     elif args.format == "csv":
@@ -237,9 +238,7 @@ def cmd_table(args) -> int:
     # refuse the whole table before scanning any of it
     check_scan(min(r[0] for r in ranges), args.k, args.cap)
     check_scan(max(r[-1] for r in ranges), args.k, args.cap)
-    reports = [
-        find_maximizers(n, args.k, jobs=args.jobs, cap=args.cap) for r in ranges for n in r
-    ]
+    reports = [find_maximizers(n, args.k, cap=args.cap) for r in ranges for n in r]
     if args.format == "json":
         _emit(render.to_json([render.report_payload(r) for r in reports]), args)
     elif args.format == "csv":
@@ -256,7 +255,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    report = shape_report(args.n, args.k, jobs=args.jobs, cap=args.cap)
+    report = shape_report(args.n, args.k, cap=args.cap)
     svg_path = args.out or f"shape-n{args.n}-k{args.k}.svg"
     write_shape_svg(report, svg_path)
     if args.format == "json":

@@ -3,38 +3,34 @@ counts, and limit-shape reports for the winners.
 
 The scan visits every partition of n and keeps every argmax, reported in
 decreasing lexicographic order, so maximizer sets come out
-conjugation-closed and deterministic.  For subpartitions (k = 1) it builds
-each partition from its smallest part upward and carries the row DP down
+conjugation-closed and deterministic.  For every k it builds each
+partition from its smallest part upward and carries row-DP vectors down
 that tree, so partitions sharing their lower rows share the DP work and
-each one costs O(1) at its leaf; nothing is materialized but the winners.
-Chain scans (k >= 2) enumerate the partitions, count each one's weak
-k-chains as a k x k determinant of bridge counts, and can spread those
-counts over worker processes; counts are exact integers, so the
-reduction is order-independent and the reports are byte-for-byte
-identical however many workers ran.  Each chain count refuses work past
-``DEFAULT_STATE_CAP`` before its DP starts, so an oversized k ends the
-scan in ResourceLimitError.
+each one is counted at its leaf, as the k x k Gessel-Viennot determinant
+of its weak k-chains (a single entry, the subpartition count, at k = 1);
+nothing is materialized but the winners.  The scan runs in one process,
+and ``check_scan`` refuses an oversized n or k before any of its work.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from operator import mul
 
 from .counting import (
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
+    _bareiss_det,
     _partition_numbers,
     _row_step,
-    _weak_chains_transfer,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_STATE_CAP,
     Partition,
     ResourceLimitError,
-    enumerate_partitions,
     format_partition,
     profile,
 )
@@ -67,27 +63,58 @@ class ShapeReport:
     envelope_functional: float
 
 
-def _count_chunk(args: tuple[list[tuple[int, ...]], int]) -> list[int]:
-    parts_list, k = args
-    return [_weak_chains_transfer(profile(Partition(parts)), k) for parts in parts_list]
-
-
-def _subpartition_maxima(n: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The largest subpartition count over the partitions of n, and the
+def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The largest weak k-chain count over the partitions of n, and the
     parts of every partition reaching it, in no particular order.
 
-    Depth-first over partitions built from the smallest part upward.  A
-    node holds the row-DP counts of its parts so far (p the largest, r
-    still to place) and is lifted once; its leaf puts all of r on top, and
-    each child adds a part q with p <= q <= r // 2.  Paths are linked
-    pairs, so only winners are turned into tuples.
+    Depth-first over partitions built from the smallest part upward: a
+    node has placed parts up to p with r still to place, its leaf puts all
+    of r on top, and each child adds a part q with p <= q <= r // 2.
+    Paths are linked pairs, so only winners are turned into tuples.
+
+    A leaf's count is det[e(s, t)] as in ``counting._weak_chains_transfer``,
+    read by rows.  In French coordinates path s runs by right and down
+    steps from (-s, l - s) to sink t at (lam_1 - t, -t) inside lam's
+    diagram widened by k - 1 columns left and k - 1 rows below,
+    l = len(lam), crossing row after row at a weakly growing column x: the
+    row DP (``counting._row_step``) on vectors indexed from x = -(k - 1).
+    The node with s < k placed parts starts source s with the lifted
+    vector (the counts of the next row's x, up to p) of ones on -s..p.  At
+    the leaf, with T the total, C(r - x, t) paths lead from column x of
+    the top row through t rows below lam to sink t, so
+    e(s, t) = sum_x C(r - x, t) lifted[x] + T C(r - p, t + 1), while a
+    source that starts below lam (s >= l) meets no boundary:
+    e(s, t) = C(r + l, l - s + t), 0 when l - s + t < 0.  At k = 1 the
+    count is e(0, 0) = sum(lifted) + (r - p) T, the subpartition count.
     """
+    # binomials[t][n - r + i] = C(r - x, t) at index i = x + k - 1
+    binomials = [[math.comb(n + k - 1 - i, t) for i in range(n + k)] for t in range(k)]
     best, winners = 0, []
-    stack = [(None, [1], 0, n)]
+    # path, the counts of the node's top row for source 0 and for the
+    # sources 1.. started below it, its largest part, the rest of n
+    stack = [(None, [0] * (k - 1) + [1], [], 0, n)]
     while stack:
-        path, counts, p, r = stack.pop()
+        path, counts, others, p, r = stack.pop()
         lifted, total = _row_step(counts)
         value = sum(lifted) + (r - p) * total
+        if k > 1:
+            others = [_row_step(v)[0] for v in others]
+            s = len(others) + 1
+            if p and s < k:  # this node's s placed parts start source s
+                others.append([0] * (k - 1 - s) + [1] * (p + s + 1))
+            rows = [
+                [
+                    sum(map(mul, v, b[n - r : n - r + p + k])) + v[-1] * math.comb(r - p, t + 1)
+                    for t, b in enumerate(binomials)
+                ]
+                for v in [lifted, *others]
+            ]
+            ell = len(rows)
+            rows += [
+                [math.comb(r + ell, ell - s + t) if ell - s + t >= 0 else 0 for t in range(k)]
+                for s in range(ell, k)
+            ]
+            value = _bareiss_det(rows)
         if value >= best:
             if value > best:
                 best, winners = value, []
@@ -96,32 +123,26 @@ def _subpartition_maxima(n: int) -> tuple[int, list[tuple[int, ...]]]:
                 q, link = link
                 parts.append(q)
             winners.append(tuple(parts))
-        for q in range(max(p, 1), r // 2 + 1):
-            stack.append(((q, path), lifted + [total] * (q - p), q, r - q))
+        for q in range(p or 1, r // 2 + 1):
+            child = others and [v + [v[-1]] * (q - p) for v in others]
+            stack.append(((q, path), lifted + [total] * (q - p), child, q, r - q))
     return best, winners
 
 
-def find_maximizers(
-    n: int,
-    k: int = 1,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MaximizerReport:
+def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> MaximizerReport:
     """Scan every partition of n and report all maximizers of the weak
     k-chain count (the subpartition count when k = 1).
 
     Refuses upfront, through ``check_scan``; nothing partial is kept.
-    ``jobs`` worker processes (at most one per CPU) share the chain counts
-    of a k >= 2 scan; the k = 1 scan always runs in this process.
     """
     check_scan(n, k, cap)
-    if k == 1:
-        best, winners = _subpartition_maxima(n)
-    else:
-        candidates = [lam.parts for lam in enumerate_partitions(n, cap=None)]
-        counts = _all_counts(candidates, k, jobs)
-        best = max(counts)
-        winners = [parts for parts, c in zip(candidates, counts) if c == best]
+    return maximizer_report(n, k, *_scan_maxima(n, k))
+
+
+def maximizer_report(n: int, k: int, best: int, winners: list[tuple[int, ...]]) -> MaximizerReport:
+    """The report of a scan of the partitions of n whose largest weak
+    k-chain count ``best`` is reached by the partitions with the parts in
+    ``winners``, given in any order."""
     maximizers = tuple(Partition(parts) for parts in sorted(winners, reverse=True))
     first = maximizers[0]
     shape = rescale(profile(first), n)
@@ -142,45 +163,28 @@ def find_maximizers(
 
 def check_scan(n: int, k: int, cap: int) -> None:
     """Refuse a scan of the partitions of n before any of its work: n or k
-    below 1 raises ValueError, p(n) past cap raises ResourceLimitError.
+    below 1 raises ValueError; k^2 (n + 2) past ``DEFAULT_STATE_CAP``, or
+    p(n) past cap, raises ResourceLimitError.
 
-    p is increasing, so tabulating it stops at the first value past cap.
+    n + 2 columns is the widest profile window over the partitions of n,
+    that of (n), so the first cap is a chain count's own at its widest.  p
+    is increasing, so tabulating it stops at the first value past cap.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k * k * (n + 2) > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(f"chain scan for k={k}, n={n} exceeds cap {DEFAULT_STATE_CAP}")
     for _, p in zip(range(n + 1), _partition_numbers()):
         if p > cap:
             raise ResourceLimitError(f"p({n}) exceeds enumeration cap {cap}")
 
 
-def _all_counts(candidates: list[tuple[int, ...]], k: int, jobs: int) -> list[int]:
-    if jobs <= 1 or len(candidates) < 4 * jobs:
-        return _count_chunk((candidates, k))
-    # imported here so that loading the CLI does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (len(candidates) + 4 * jobs - 1) // (4 * jobs)
-    batches = [
-        (candidates[i : i + chunk], k) for i in range(0, len(candidates), chunk)
-    ]
-    out: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-        for partial in pool.map(_count_chunk, batches):
-            out.extend(partial)
-    return out
-
-
-def shape_report(
-    n: int,
-    k: int = 1,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ShapeReport:
+def shape_report(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> ShapeReport:
     """Rescaled profile and convex envelope of the first maximizer, with
     sup-distances to the limit curve and the envelope's functional value."""
-    report = find_maximizers(n, k=k, jobs=jobs, cap=cap)
+    report = find_maximizers(n, k=k, cap=cap)
     lam = report.maximizers[0]
     shape = rescale(profile(lam), n)
     env = shape.envelope()

@@ -10,6 +10,7 @@ import it directly.
 
 from itertools import product
 
+from .counting import count_kchains
 from .envelope import DiscreteFunction
 from .partitions import LatticeProfile, Partition, profile
 
@@ -154,6 +155,16 @@ def binomial_chain_count(parts, k):
     if det.denominator != 1:
         raise ValueError(f"binomial determinant for {parts}, k={k} is not an integer: {det}")
     return det.numerator
+
+
+def scan_maximizers(n, k):
+    """The largest weak k-chain count over the partitions of n, and the
+    parts of every partition reaching it, in no particular order: each
+    partition is listed and counted on its own by ``count_kchains``, where
+    the package's scan streams row-DP vectors down a tree of partitions."""
+    counts = {parts: count_kchains(Partition(parts), k).value for parts in partitions_of(n)}
+    best = max(counts.values())
+    return best, [parts for parts, c in counts.items() if c == best]
 
 
 def macmahon_box(a, b, c):

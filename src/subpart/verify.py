@@ -35,7 +35,7 @@ from .envelope import (
     lower_convex_envelope,
     path_energy,
 )
-from .maximizer import find_maximizers
+from .maximizer import find_maximizers, maximizer_report
 from .partitions import Partition, conjugate, enumerate_partitions, is_subpartition, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
@@ -82,7 +82,6 @@ class VerifyCaps:
     growth_n: int
     run_trend: bool
     determinism_n: int
-    determinism_jobs: int
 
 
 FAST = VerifyCaps(
@@ -105,7 +104,6 @@ FAST = VerifyCaps(
     growth_n=12,
     run_trend=False,
     determinism_n=10,
-    determinism_jobs=2,
 )
 
 FULL = VerifyCaps(
@@ -128,7 +126,6 @@ FULL = VerifyCaps(
     growth_n=30,
     run_trend=True,
     determinism_n=20,
-    determinism_jobs=8,
 )
 
 
@@ -625,14 +622,13 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 def check_csv_determinism(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    # k = 2: only chain scans spread over worker processes
+    # the k = 2 CSV of the streamed scan against one from per-partition counts
     n = caps.determinism_n
-    jobs = caps.determinism_jobs
-    serial = render.reports_csv([find_maximizers(n, 2, jobs=1)])
-    parallel = render.reports_csv([find_maximizers(n, 2, jobs=jobs)])
-    if serial.encode() != parallel.encode():
-        return False, f"k=2 csv differs between jobs=1 and jobs={jobs} at n={n}"
-    return True, f"n={n}, k=2: byte-identical across jobs=1 and jobs={jobs}"
+    streamed = render.reports_csv([find_maximizers(n, 2)])
+    counted = render.reports_csv([maximizer_report(n, 2, *oracles.scan_maximizers(n, 2))])
+    if streamed.encode() != counted.encode():
+        return False, f"k=2 csv differs between streamed and per-partition counts at n={n}"
+    return True, f"n={n}, k=2: byte-identical from streamed and per-partition counts"
 
 
 def check_json_roundtrip(caps: VerifyCaps, rng) -> tuple[bool, str]:

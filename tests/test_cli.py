@@ -197,6 +197,11 @@ def test_chain_count_cap_exits_3_upfront(capsys):
         ["count", "1", "--k", "1000"],
         ["count", "1", "--k", "1000", "--strict"],
         ["maximize", "--n", "6", "--k", "1000"],
+        ["table", "--n", "1-6", "--k", "1000"],
+        ["shape", "--n", "6", "--k", "1000"],
+        # the boundary: 578^2 * 3 columns is the first past the cap
+        ["count", "1", "--k", "578"],
+        ["maximize", "--n", "1", "--k", "578"],
     ):
         start = time.perf_counter()
         assert run_cli(capsys, *argv) == (3, "")

@@ -1,9 +1,8 @@
-import concurrent.futures
 import math
 
 import pytest
 
-from subpart import maximizer
+from subpart import oracles
 from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
@@ -69,37 +68,29 @@ def test_chain_maximizer_counts_match_direct():
     assert count_kchains(lam, 3).value == report.max_count.value
 
 
-def test_parallel_scan_matches_serial():
-    for k in (1, 2):
-        serial = find_maximizers(14, k=k, jobs=1)
-        parallel = find_maximizers(14, k=k, jobs=3)
-        assert serial == parallel
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_chain_scan_matches_per_partition_counts(k):
+    # the streamed determinant scan against counting each partition on its
+    # own, leaves with fewer parts than k included
+    for n in range(1, 19):
+        best, winners = oracles.scan_maximizers(n, k)
+        report = find_maximizers(n, k)
+        assert report.max_count.value == best
+        assert report.maximizers == tuple(Partition(p) for p in sorted(winners, reverse=True))
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", [(8, 2, 2), (8, None, 1), (3, 16, 3)])
-def test_pool_clamped_to_cpu_count(monkeypatch, jobs, cpus, workers):
-    created = []
-
-    class PoolRecorder:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, batches):
-            return map(fn, batches)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
-    monkeypatch.setattr(maximizer.os, "cpu_count", lambda: cpus)
-    report = find_maximizers(12, k=2, jobs=jobs)
-    assert created == [workers]
-    assert report == find_maximizers(12, k=2, jobs=1)
+@pytest.mark.parametrize(
+    "n, k, value, maximizers",
+    [
+        (34, 2, 3553214, ((10, 7, 5, 4, 3, 2, 1, 1, 1), (9, 6, 5, 4, 3, 2, 2, 1, 1, 1))),
+        (26, 3, 23183098, ((8, 6, 4, 3, 2, 1, 1, 1), (8, 5, 4, 3, 2, 2, 1, 1))),
+        (20, 4, 25740890, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1))),
+    ],
+)
+def test_chain_maximizers_pinned(n, k, value, maximizers):
+    report = find_maximizers(n, k)
+    assert report.max_count.value == value
+    assert report.maximizers == tuple(Partition(p) for p in maximizers)
 
 
 def test_input_validation_and_cap():
