@@ -1,21 +1,25 @@
 """Exhaustive search for the partitions maximizing subpartition and chain
 counts, and limit-shape reports for the winners.
 
-The scan visits every partition of n and keeps every argmax, reported in
-decreasing lexicographic order, so maximizer sets come out
-conjugation-closed and deterministic.  For every k it builds each
-partition from its smallest part upward and carries row-DP vectors down
-that tree, so partitions sharing their lower rows share the DP work and
-each one is counted at its leaf, as the k x k Gessel-Viennot determinant
-of its weak k-chains (a single entry, the subpartition count, at k = 1);
-nothing is materialized but the winners.  The scan runs in one process,
-and ``check_scan`` refuses an oversized n or k before any of its work.
+Chain counts are conjugation-invariant, so the scan visits only the
+partitions of n with largest part at least their length, adds the
+conjugate of each winner, and reports every argmax in decreasing
+lexicographic order: maximizer sets come out conjugation-closed and
+deterministic.  For every k it builds each partition from its smallest
+part upward and carries row-DP vectors down that tree, so partitions
+sharing their lower rows share the DP work and each one is counted at its
+leaf, as the k x k Gessel-Viennot determinant of its weak k-chains (a
+single entry, the subpartition count, at k = 1, where a leaf without
+children is scored by its parent in O(1)); nothing is materialized but the
+winners.  The scan runs in one process, and ``check_scan`` refuses an
+oversized n or k before any of its work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 
 from .counting import (
@@ -31,6 +35,7 @@ from .partitions import (
     DEFAULT_STATE_CAP,
     Partition,
     ResourceLimitError,
+    conjugate,
     format_partition,
     profile,
 )
@@ -68,9 +73,17 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
     parts of every partition reaching it, in no particular order.
 
     Depth-first over partitions built from the smallest part upward: a
-    node has placed parts up to p with r still to place, its leaf puts all
-    of r on top, and each child adds a part q with p <= q <= r // 2.
+    node has placed d parts up to p with r still to place, its leaf puts
+    all of r on top, and each child adds a part q with p <= q <= r // 2.
     Paths are linked pairs, so only winners are turned into tuples.
+
+    Conjugation is an automorphism of Young's lattice, so every count is
+    conjugation-invariant and the scan visits only lam with
+    lam_1 >= len(lam): a leaf has lam_1 = r and d + 1 parts, and a child's
+    descendants all have more parts and a smaller top, so children with
+    r - q < d + 2 are skipped.  Each winner with lam_1 > len(lam) then
+    brings its conjugate; one with lam_1 = len(lam) has a conjugate of the
+    same kind, visited on its own.
 
     A leaf's count is det[e(s, t)] as in ``counting._weak_chains_transfer``,
     read by rows.  In French coordinates path s runs by right and down
@@ -86,17 +99,25 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
     source that starts below lam (s >= l) meets no boundary:
     e(s, t) = C(r + l, l - s + t), 0 when l - s + t < 0.  At k = 1 the
     count is e(0, 0) = sum(lifted) + (r - p) T, the subpartition count.
+
+    At k = 1 a child without children of its own (q > r // 3 or
+    2q > r - d - 3) is scored by its parent in O(1): with s0 = sum(lifted),
+    s1 = sum(accumulate(lifted)) and m = q - p, the child's lifted vector
+    sums to S1 = s1 + m s0 + T m (m + 1) / 2 with total S0 = s0 + m T, so
+    its count is S1 + (r - 2q) S0.
     """
     # binomials[t][n - r + i] = C(r - x, t) at index i = x + k - 1
     binomials = [[math.comb(n + k - 1 - i, t) for i in range(n + k)] for t in range(k)]
     best, winners = 0, []
     # path, the counts of the node's top row for source 0 and for the
-    # sources 1.. started below it, its largest part, the rest of n
-    stack = [(None, [0] * (k - 1) + [1], [], 0, n)]
+    # sources 1.. started below it, its largest part, its number of
+    # parts, the rest of n
+    stack = [(None, [0] * (k - 1) + [1], [], 0, 0, n)]
     while stack:
-        path, counts, others, p, r = stack.pop()
+        path, counts, others, p, d, r = stack.pop()
         lifted, total = _row_step(counts)
-        value = sum(lifted) + (r - p) * total
+        s0 = sum(lifted)
+        value = s0 + (r - p) * total
         if k > 1:
             others = [_row_step(v)[0] for v in others]
             s = len(others) + 1
@@ -116,21 +137,40 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
             ]
             value = _bareiss_det(rows)
         if value >= best:
-            if value > best:
-                best, winners = value, []
-            parts, link = [r], path
-            while link is not None:
-                q, link = link
-                parts.append(q)
-            winners.append(tuple(parts))
-        for q in range(p or 1, r // 2 + 1):
+            best = _keep(value, best, winners, r, path)
+        first, last = p or 1, min(r // 2, r - d - 2)
+        # children past ``split`` are childless leaves, scored here at k = 1
+        split = last if k > 1 else min(last, r // 3, (r - d - 3) // 2)
+        for q in range(first, split + 1):
             child = others and [v + [v[-1]] * (q - p) for v in others]
-            stack.append(((q, path), lifted + [total] * (q - p), child, q, r - q))
+            stack.append(((q, path), lifted + [total] * (q - p), child, q, d + 1, r - q))
+        if split < last:
+            s1 = sum(accumulate(lifted))
+            for q in range(max(first, split + 1), last + 1):
+                m = q - p
+                value = s1 + m * s0 + total * m * (m + 1) // 2 + (r - 2 * q) * (s0 + m * total)
+                if value >= best:
+                    best = _keep(value, best, winners, r - q, (q, path))
+    winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
     return best, winners
 
 
+def _keep(value: int, best: int, winners: list[tuple[int, ...]], top: int, path) -> int:
+    """Record the partition with largest part ``top`` over the linked
+    ``path`` as reaching ``value`` >= ``best``, dropping the old winners if
+    it is larger; returns the new best."""
+    if value > best:
+        winners.clear()
+    parts, link = [top], path
+    while link is not None:
+        q, link = link
+        parts.append(q)
+    winners.append(tuple(parts))
+    return value
+
+
 def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> MaximizerReport:
-    """Scan every partition of n and report all maximizers of the weak
+    """Scan the partitions of n and report all maximizers of the weak
     k-chain count (the subpartition count when k = 1).
 
     Refuses upfront, through ``check_scan``; nothing partial is kept.

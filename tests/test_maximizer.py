@@ -54,12 +54,52 @@ def test_maximizer_n50_pinned():
     assert report.max_count.value == 58927
 
 
+@pytest.mark.parametrize(
+    "n, value, maximizers",
+    [
+        (
+            55,
+            115947,
+            (
+                (14, 10, 7, 5, 4, 3, 3, 2, 2, 1, 1, 1, 1, 1),
+                (14, 9, 7, 5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1),
+            ),
+        ),
+        (
+            60,
+            223706,
+            (
+                (14, 10, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1),
+                (14, 10, 7, 6, 5, 4, 3, 3, 2, 2, 1, 1, 1, 1),
+            ),
+        ),
+    ],
+)
+def test_maximizers_large_n_pinned(n, value, maximizers):
+    report = find_maximizers(n)
+    assert report.max_count.value == value
+    assert report.maximizers == tuple(Partition(p) for p in maximizers)
+
+
 def test_maximizer_sets_are_conjugation_closed():
+    # the scan's sets are closed by construction (it visits lam_1 >= len(lam)
+    # and adds conjugates); the per-partition argmax must be closed on its own
     for n in range(1, 13):
         for k in (1, 2):
             report = find_maximizers(n, k)
             have = set(report.maximizers)
             assert {conjugate(lam) for lam in have} == have
+            _, winners = oracles.scan_maximizers(n, k)
+            oracle = {Partition(parts) for parts in winners}
+            assert {conjugate(lam) for lam in oracle} == oracle
+            assert oracle == have
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_maximizers_have_no_duplicates(k):
+    for n in range(1, 31):
+        maximizers = find_maximizers(n, k).maximizers
+        assert len(set(maximizers)) == len(maximizers)
 
 
 def test_chain_maximizer_counts_match_direct():
