@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import render
 from .counting import (
@@ -141,32 +142,52 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits of an int turned into text
+    (3.10.7 and later) for the block, restoring it afterwards.  Only
+    rendering runs inside, so int() on argv keeps the guard."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_count(args) -> int:
     lam = parse_partition(args.partition)
     if args.k == 1 and not args.strict:
         result = count_subpartitions(lam)
     else:
         result = count_kchains(lam, args.k, strict=args.strict)
-    if args.format == "json":
-        _emit(render.to_json(render.count_payload(result)), args)
-    elif args.format == "csv":
-        _emit(
-            render.csv_lines(
-                [
-                    ["partition", "k", "strict", "value", "method"],
+    # a count inside the caps can pass the limit (the 7200 x 7200 square
+    # has 4,333 digits); the other commands' values stay far below it
+    with _all_digits():
+        if args.format == "json":
+            _emit(render.to_json(render.count_payload(result)), args)
+        elif args.format == "csv":
+            _emit(
+                render.csv_lines(
                     [
-                        format_partition(lam),
-                        str(args.k),
-                        str(args.strict).lower(),
-                        str(result.value),
-                        result.method,
-                    ],
-                ]
-            ),
-            args,
-        )
-    else:
-        _emit(f"{result.value}\n", args)
+                        ["partition", "k", "strict", "value", "method"],
+                        [
+                            format_partition(lam),
+                            str(args.k),
+                            str(args.strict).lower(),
+                            str(result.value),
+                            result.method,
+                        ],
+                    ]
+                ),
+                args,
+            )
+        else:
+            _emit(f"{result.value}\n", args)
     return 0
 
 

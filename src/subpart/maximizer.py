@@ -9,10 +9,11 @@ deterministic.  For every k it builds each partition from its smallest
 part upward and carries row-DP vectors down that tree, so partitions
 sharing their lower rows share the DP work and each one is counted at its
 leaf, as the k x k Gessel-Viennot determinant of its weak k-chains (a
-single entry, the subpartition count, at k = 1, where a leaf without
-children is scored by its parent in O(1)); nothing is materialized but the
-winners.  The scan runs in one process, and ``check_scan`` refuses an
-oversized n or k before any of its work.
+single entry, the subpartition count, at k = 1, where a node scores its
+children and grandchildren without children of their own from four
+running sums, walking each family of such leaves by second differences);
+nothing is materialized but the winners.  The scan runs in one process,
+and ``check_scan`` refuses an oversized n or k before any of its work.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ class ShapeReport:
     envelope_functional: float
 
 
-def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The largest weak k-chain count over the partitions of n, and the
-    parts of every partition reaching it, in no particular order.
+def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
+    """The largest weak k-chain count over the partitions of n, the parts
+    of every partition reaching it, in no particular order, and the number
+    of leaves scored, one per partition of n with lam_1 >= len(lam).
 
     Depth-first over partitions built from the smallest part upward: a
     node has placed d parts up to p with r still to place, its leaf puts
@@ -100,15 +102,32 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
     e(s, t) = C(r + l, l - s + t), 0 when l - s + t < 0.  At k = 1 the
     count is e(0, 0) = sum(lifted) + (r - p) T, the subpartition count.
 
-    At k = 1 a child without children of its own (q > r // 3 or
-    2q > r - d - 3) is scored by its parent in O(1): with s0 = sum(lifted),
-    s1 = sum(accumulate(lifted)) and m = q - p, the child's lifted vector
-    sums to S1 = s1 + m s0 + T m (m + 1) / 2 with total S0 = s0 + m T, so
-    its count is S1 + (r - 2q) S0.
+    At k = 1 a node scores the two levels below it itself, so only nodes
+    with grandchildren are pushed.  Its lifted vector L, with total T, has
+    the running sums s0 = sum(L), s1 = sum(accumulate(L)) and
+    s2 = sum(accumulate(accumulate(L))).  A child q = p + m lifts
+    L + [T] * m: the new entries lift to s0 + i T (i = 1..m) and, lifted
+    again, to s1 + i s0 + T i(i+1)/2, so the child's total and sums are
+    tc = s0 + m T, c0 = s1 + m s0 + T m(m+1)/2 and
+    c1 = s2 + m s1 + s0 m(m+1)/2 + T m(m+1)(m+2)/6 (``_shift``), and one
+    more part adds T to tc, the new tc to c0 and the new c0 to c1.  The
+    child's leaf counts V(q) = c0 + (r - 2q) tc, so
+    V(q + 1) - V(q) = T (r - 2q - 1) - tc, a step that falls by 3T a part:
+    2T as r - 2q shrinks and T as tc grows.  Each family of leaves is thus
+    walked by second differences (``_family``).
+
+    Child q has children q' >= q only if q <= (r - q) // 2 and
+    q <= r - q - d - 3, that is q <= split = min(r // 3, (r - d - 3) // 2),
+    and grandchildren only if its child q' = q has children, that is
+    q <= deep = min(split, r // 4, (r - d - 4) // 3); both bounds fall with
+    q.  Children up to deep are pushed.  The leaves of the later ones are
+    one family of the node, and each pre-leaf child (deep < q <= split)
+    adds its children's leaves, a family over q' >= q on a node of total
+    tc whose first leaf has total c0 and sum c1, with r - q still to place.
     """
     # binomials[t][n - r + i] = C(r - x, t) at index i = x + k - 1
     binomials = [[math.comb(n + k - 1 - i, t) for i in range(n + k)] for t in range(k)]
-    best, winners = 0, []
+    best, winners, leaves = 0, [], 0
     # path, the counts of the node's top row for source 0 and for the
     # sources 1.. started below it, its largest part, its number of
     # parts, the rest of n
@@ -136,23 +155,78 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
                 for s in range(ell, k)
             ]
             value = _bareiss_det(rows)
+        leaves += 1
         if value >= best:
             best = _keep(value, best, winners, r, path)
         first, last = p or 1, min(r // 2, r - d - 2)
-        # children past ``split`` are childless leaves, scored here at k = 1
-        split = last if k > 1 else min(last, r // 3, (r - d - 3) // 2)
-        for q in range(first, split + 1):
+        if k > 1:
+            deep = split = last
+        else:
+            split = min(last, r // 3, (r - d - 3) // 2)
+            deep = min(split, r // 4, (r - d - 4) // 3)
+        for q in range(first, deep + 1):
             child = others and [v + [v[-1]] * (q - p) for v in others]
             stack.append(((q, path), lifted + [total] * (q - p), child, q, d + 1, r - q))
-        if split < last:
-            s1 = sum(accumulate(lifted))
-            for q in range(max(first, split + 1), last + 1):
-                m = q - p
-                value = s1 + m * s0 + total * m * (m + 1) // 2 + (r - 2 * q) * (s0 + m * total)
-                if value >= best:
-                    best = _keep(value, best, winners, r - q, (q, path))
+        lo = max(first, deep + 1)  # the first child not pushed
+        if lo > last:
+            continue
+        sums = list(accumulate(lifted))
+        s1 = sum(sums)
+        s2 = sum(accumulate(sums)) if lo <= split else 0  # for pre-leaf children
+        tc, c0, c1 = _shift(total, s0, s1, s2, lo - p)
+        # every child not pushed is a leaf of this node's family ...
+        best = _family(total, tc, c0, lo, last, r, best, winners, path)
+        leaves += last - lo + 1
+        # ... and the children of a pre-leaf child are a family of its own
+        for q in range(lo, split + 1):
+            end = min((r - q) // 2, r - q - d - 3)
+            best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
+            leaves += end - q + 1
+            tc += total
+            c0 += tc
+            c1 += c0
     winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
-    return best, winners
+    return best, winners, leaves
+
+
+def _shift(total: int, s0: int, s1: int, s2: int, m: int) -> tuple[int, int, int]:
+    """The total tc and the sums c0, c1 of the lifted vector and of its
+    prefix sums for the child that extends a lifted vector L by m parts,
+    from L's total and the sums s0, s1, s2 of L, accumulate(L) and
+    accumulate(accumulate(L)), as derived in ``_scan_maxima``."""
+    half = m * (m + 1) // 2
+    return (
+        s0 + m * total,
+        s1 + m * s0 + total * half,
+        s2 + m * s1 + s0 * half + total * half * (m + 2) // 3,
+    )
+
+
+def _family(
+    total: int,
+    tc: int,
+    c0: int,
+    part: int,
+    last: int,
+    rest: int,
+    best: int,
+    winners: list[tuple[int, ...]],
+    path,
+) -> int:
+    """Score the leaves that put one part q, part <= q <= last, over the
+    linked ``path`` of a node with total ``total`` and all of rest - q on
+    top, given the total tc and sum c0 of the lifted vector for q = part;
+    records winners as ``_keep`` does and returns the new best.  Each leaf
+    costs two additions and a comparison (see ``_scan_maxima``)."""
+    value = c0 + (rest - 2 * part) * tc
+    step = total * (rest - 2 * part - 1) - tc
+    fall = 3 * total
+    for q in range(part, last + 1):
+        if value >= best:
+            best = _keep(value, best, winners, rest - q, (q, path))
+        value += step
+        step -= fall
+    return best
 
 
 def _keep(value: int, best: int, winners: list[tuple[int, ...]], top: int, path) -> int:
@@ -176,7 +250,8 @@ def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> M
     Refuses upfront, through ``check_scan``; nothing partial is kept.
     """
     check_scan(n, k, cap)
-    return maximizer_report(n, k, *_scan_maxima(n, k))
+    best, winners, _ = _scan_maxima(n, k)
+    return maximizer_report(n, k, best, winners)
 
 
 def maximizer_report(n: int, k: int, best: int, winners: list[tuple[int, ...]]) -> MaximizerReport:

@@ -228,6 +228,32 @@ def test_jobs_below_one_rejected(command, jobs):
     assert err.value.code == 2
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
+)
+def test_count_past_int_text_limit(capsys):
+    # C(2200, 1100) has 661 digits: past a lowered limit, as 4,333-digit
+    # counts are past the default one
+    square = ",".join(["1100"] * 1100)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = str(math.comb(2200, 1100))
+        sys.set_int_max_str_digits(640)
+        assert run_cli(capsys, "count", square) == (0, digits + "\n")
+        code, out = run_cli(capsys, "count", square, "--format", "json")
+        assert code == 0 and json.loads(out)["value"] == digits
+        code, out = run_cli(capsys, "count", square, "--format", "csv")
+        assert code == 0 and out.splitlines()[1].rsplit(",", 2)[1] == digits
+        assert sys.get_int_max_str_digits() == 640
+        # argv keeps the guard: the part is refused as text (2), not as a
+        # window past the cap (3)
+        code = cli.main(["count", "9" * 700])
+        assert code == 2 and "limit" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_exit_code_io(capsys):
     assert run_cli(capsys, "pn", "5", "--out", "/nonexistent-dir/x.txt")[0] == 4
 

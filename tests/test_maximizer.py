@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import pytest
 
-from subpart import oracles
+from subpart import maximizer, oracles
 from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
+    _scan_maxima,
     find_maximizers,
     shape_report,
 )
@@ -100,6 +102,71 @@ def test_maximizers_have_no_duplicates(k):
     for n in range(1, 31):
         maximizers = find_maximizers(n, k).maximizers
         assert len(set(maximizers)) == len(maximizers)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_scores_every_leaf_once(k):
+    # the argmax alone would pass a scan that drops subtrees holding no
+    # winner; it scores one leaf per partition with lam_1 >= len(lam)
+    for n in range(1, 31):
+        want = sum(1 for lam in oracles.partitions_of(n) if lam[0] >= len(lam))
+        assert _scan_maxima(n, k)[2] == want
+
+
+@pytest.mark.parametrize("k, top", [(1, 30), (2, 16)])
+def test_scan_scores_every_leaf_exactly(k, top):
+    # a _keep that never raises the best records every leaf the scan scores
+    keep, scored = maximizer._keep, []
+
+    def record(value, best, winners, top, path):
+        parts = []
+        keep(value, value, parts, top, path)
+        scored.append((parts[0], value))
+        return best
+
+    with mock.patch.object(maximizer, "_keep", record):
+        for n in range(1, top + 1):
+            scored.clear()
+            _scan_maxima(n, k)
+            want = [
+                (lam, count_kchains(Partition(lam), k).value)
+                for lam in oracles.partitions_of(n)
+                if lam[0] >= len(lam)
+            ]
+            assert sorted(scored) == sorted(want)
+
+
+def _nodes_with_grandchildren(n):
+    # the scan's tree: a node placed d parts up to p with r left, and its
+    # children add q, p <= q <= min(r // 2, r - d - 2)
+    def children(p, d, r):
+        return [(q, d + 1, r - q) for q in range(p or 1, min(r // 2, r - d - 2) + 1)]
+
+    found, stack = 0, [(0, 0, n)]
+    while stack:
+        kids = children(*stack.pop())
+        stack += kids
+        found += sum(1 for kid in kids if any(children(*g) for g in children(*kid)))
+    return found
+
+
+def test_k1_scan_pushes_only_nodes_with_grandchildren():
+    # one row step per popped node: the root and the children with
+    # grandchildren; every other node is scored in its parent or grandparent
+    row_step, steps = maximizer._row_step, []
+
+    def counted(counts):
+        steps.append(counts)
+        return row_step(counts)
+
+    with mock.patch.object(maximizer, "_row_step", counted):
+        for n in range(1, 31):
+            steps.clear()
+            _scan_maxima(n, 1)
+            assert len(steps) == 1 + _nodes_with_grandchildren(n)
+        steps.clear()
+        assert _scan_maxima(45, 1)[2] == 46767
+        assert len(steps) == 3204
 
 
 def test_chain_maximizer_counts_match_direct():

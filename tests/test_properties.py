@@ -1,15 +1,18 @@
 """Property tests: the boundary-walk profile against the diagonal count,
-the row DP against the bridge DP and brute force, and the chain
-determinant against the transfer DP and the binomial determinant, on
-generated partitions.  Derandomized, so every run draws
-the same cases."""
+the row DP against the bridge DP and brute force, the chain determinant
+against the transfer DP and the binomial determinant, on generated
+partitions, and the k = 1 scan's running-sum shift and leaf-family walk
+against their closed forms.  Derandomized, so every run draws the same
+cases."""
 
 import math
+from itertools import accumulate
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpart import oracles
+from subpart import maximizer, oracles
 from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
 from subpart.partitions import Partition, conjugate, profile
 
@@ -74,3 +77,45 @@ def test_chain_count_pinned_cases():
     )
     hook = (100,) + (1,) * 100
     assert count_kchains(Partition(hook), 2).value == oracles.transfer_chain_count(hook, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.integers(0, 40))
+def test_sum_shift_matches_direct_sums(lifted, m):
+    sums = list(accumulate(lifted))
+    child = list(accumulate(lifted + [lifted[-1]] * m))
+    got = maximizer._shift(lifted[-1], sum(lifted), sum(sums), sum(accumulate(sums)), m)
+    assert got == (child[-1], sum(child), sum(accumulate(child)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(-20, 120),
+)
+def test_family_walk_matches_closed_form(total, s0, s1, base, lo, size, rest):
+    # V(j) = s1 + j s0 + T j(j+1)/2 + (rest - 2(base + j))(s0 + j T); a
+    # _keep that never raises the best records every leaf of the walk
+    seen = []
+
+    def keep(value, best, winners, top, path):
+        seen.append((value, top, path))
+        return best
+
+    tc, c0, _ = maximizer._shift(total, s0, s1, 0, lo)
+    with mock.patch.object(maximizer, "_keep", keep):
+        maximizer._family(total, tc, c0, base + lo, base + lo + size, rest, -math.inf, [], "p")
+    want = [
+        (
+            s1 + j * s0 + total * j * (j + 1) // 2 + (rest - 2 * (base + j)) * (s0 + j * total),
+            rest - base - j,
+            (base + j, "p"),
+        )
+        for j in range(lo, lo + size + 1)
+    ]
+    assert seen == want
