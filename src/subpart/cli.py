@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
-        "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+        "--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
         help="enumeration cap on p(n)",
     )
 

@@ -267,8 +267,3 @@ def _partition_numbers() -> Iterator[int]:
         table.append(total)
         yield total
 
-
-def hardy_ramanujan_exponent(n: int, k: int = 1) -> float:
-    """k * pi * sqrt(2n/3), the growth exponent of p(n) scaled to k nested
-    chains."""
-    return k * math.pi * math.sqrt(2.0 * n / 3.0)

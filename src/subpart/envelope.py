@@ -1,17 +1,15 @@
-"""Convex envelopes of functions on integer intervals, and path energies.
+"""Lower convex envelopes of functions on integer intervals.
 
-The central fact these envelopes exist to serve: among all paths pinned
-under a ceiling f, the lower convex envelope minimizes any sum of a convex
-function of the increments.  With both ends pinned the plain envelope is
-the minimizer; with only the left end pinned it is the decreasing envelope,
-which follows the plain one until the minimum of f and stays flat after.
+The central fact these envelopes exist to serve: among all paths pinned at
+both ends under a ceiling f, the lower convex envelope minimizes any sum of
+a convex function of the increments.  ``verify`` checks that lemma, and
+its left-pinned form for the decreasing envelope, by sampling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -45,32 +43,6 @@ def lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
     pts = [(i, v) for i, v in zip(range(f.lo, f.hi + 1), f.values)]
     hull = lower_hull(pts)
     return DiscreteFunction(f.lo, tuple(_interpolate(hull, f.lo, f.hi)))
-
-
-def decreasing_lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
-    """Greatest decreasing convex minorant.
-
-    Coincides with the plain envelope up to the leftmost minimizer of f
-    (where the envelope touches f) and is constant min(f) afterwards; ties
-    in the argmin resolve leftmost, which does not change the result.
-    """
-    env = lower_convex_envelope(f)
-    c = min(range(f.lo, f.hi + 1), key=lambda i: (f.value(i), i))
-    floor = f.value(c)
-    vals = tuple(env.value(i) if i < c else floor for i in range(f.lo, f.hi + 1))
-    return DiscreteFunction(f.lo, vals)
-
-
-def path_energy(f: DiscreteFunction, psi: Callable[[float], float]) -> float:
-    """Sum of the convex cost psi over the increments of f; +infinity
-    propagates."""
-    total = 0.0
-    for d in f.increments():
-        v = psi(d)
-        if math.isinf(v):
-            return math.inf
-        total += v
-    return total
 
 
 def lower_hull(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

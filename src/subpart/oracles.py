@@ -2,13 +2,17 @@
 
 Everything here deliberately takes a different algorithmic route from the
 code under test: enumeration instead of dynamic programming, chord minima
-instead of hull scans, product formulas instead of transfer matrices.
-Slow is fine; these only run at test and ``verify`` sizes.  The module is
-not part of the package's public surface: ``verify`` and the test suite
-import it directly.
+instead of hull scans, product formulas instead of transfer matrices,
+bisection on tanh instead of the closed-form rate function.  The numerical
+routines those checks need (adaptive Simpson quadrature, a derivative
+stencil, bisection) live here too.  Slow is fine; these only run at test
+and ``verify`` sizes.  The module is not part of the package's public
+surface: ``verify`` and the test suite import it directly.
 """
 
+import math
 from itertools import product
+from typing import Callable
 
 from .counting import count_kchains
 from .envelope import DiscreteFunction
@@ -60,10 +64,16 @@ def brute_subpartitions(parts):
     return found
 
 
-def contains(outer, inner):
-    if len(inner) > len(outer):
+def is_subpartition(mu, lam):
+    """True iff the diagram of mu fits inside the diagram of lam; either may
+    be a Partition or a tuple of parts.
+
+    The relation is reflexive, and the empty partition is contained in
+    everything.
+    """
+    if len(mu) > len(lam):
         return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return all(m <= l for m, l in zip(mu, lam))
 
 
 def brute_chain_count(parts, k, strict=False):
@@ -74,7 +84,7 @@ def brute_chain_count(parts, k, strict=False):
     for chain in product(subs, repeat=k):
         ok = True
         for upper, lower in zip(chain, chain[1:]):
-            if not contains(upper, lower):
+            if not is_subpartition(lower, upper):
                 ok = False
                 break
             if strict and upper == lower:
@@ -90,7 +100,7 @@ def poset_chain_count(parts, k, strict=False):
     containment poset of the subpartitions instead of over all k-tuples;
     much faster at the sizes ``verify --level full`` reaches."""
     subs = brute_subpartitions(parts)
-    below = {mu: [nu for nu in subs if contains(mu, nu)] for mu in subs}
+    below = {mu: [nu for nu in subs if is_subpartition(nu, mu)] for mu in subs}
     level = {mu: 1 for mu in subs}
     for _ in range(k - 1):
         level = {
@@ -244,3 +254,76 @@ def decreasing_envelope_oracle(values):
     """Greatest decreasing convex minorant: any decreasing minorant of f is
     a minorant of the running minimum, so take the envelope of that."""
     return chord_min_envelope(running_min(values))
+
+
+PANEL_TOL = 1e-10
+
+
+def adaptive_simpson(
+    f: Callable[[float], float], a: float, b: float, tol: float = PANEL_TOL
+) -> float:
+    """Integrate f over [a, b], refining panels until the Richardson error
+    estimate drops below the (halved per split) absolute tolerance."""
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_step(f, a, fa, b, fb, m, fm, whole, tol)
+
+
+def _simpson_step(f, a, fa, b, fb, m, fm, whole, tol, depth=0):
+    left_m = 0.5 * (a + m)
+    right_m = 0.5 * (m + b)
+    fl, fr = f(left_m), f(right_m)
+    left = (m - a) / 6.0 * (fa + 4.0 * fl + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * fr + fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol or depth >= 50:
+        return left + right + err / 15.0
+    return _simpson_step(
+        f, a, fa, m, fm, left_m, fl, left, 0.5 * tol, depth + 1
+    ) + _simpson_step(f, m, fm, b, fb, right_m, fr, right, 0.5 * tol, depth + 1)
+
+
+def derivative(f: Callable[[float], float], x: float, h: float = 1e-3) -> float:
+    """Fourth-order central five-point stencil."""
+    return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
+
+
+def bisect_increasing(
+    f: Callable[[float], float], target: float, lo: float, hi: float, tol: float = 1e-14
+) -> float:
+    """Solve f(x) = target for increasing f, to absolute tolerance tol on x.
+
+    The bracket is widened geometrically if it does not already straddle the
+    target.
+    """
+    while f(hi) < target:
+        hi *= 2.0
+    while f(lo) > target:
+        lo *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def log_cosh(t: float) -> float:
+    """log(cosh(t)), stable for large |t|."""
+    a = abs(t)
+    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+
+
+def rate_function_numeric(x: float) -> float:
+    """Rate function evaluated straight from the Legendre definition:
+    bisect tanh t = x to 1e-14, then return t*x - log cosh t.
+
+    Independent of the closed form ``ratefn.rate_function`` on purpose, so
+    the two can be checked against each other.
+    """
+    if abs(x) >= 1.0:
+        raise ValueError(f"numeric Legendre transform needs |x| < 1, got {x}")
+    t = bisect_increasing(math.tanh, x, -1.0, 1.0)
+    return t * x - log_cosh(t)

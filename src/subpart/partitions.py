@@ -112,17 +112,6 @@ def _descending_parts(remaining: int, max_part: int) -> Iterator[tuple[int, ...]
             yield (part,) + rest
 
 
-def is_subpartition(mu: Partition, lam: Partition) -> bool:
-    """True iff the diagram of mu fits inside the diagram of lam.
-
-    The relation is reflexive, and the empty partition is contained in
-    everything.
-    """
-    if len(mu) > len(lam):
-        return False
-    return all(m <= l for m, l in zip(mu.parts, lam.parts))
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam.parts:

@@ -8,8 +8,11 @@ a check failure never raises, it reports.
 
 The independent routes the counting checks compare against (enumeration,
 the poset chain counter, MacMahon's box product, the memoized pentagonal
-recurrence) and the random grids of the envelope checks come from
-``subpart.oracles``, which the test suite shares.
+recurrence), the numeric Legendre transform, the quadrature behind the
+limit-curve constants, and the random grids of the envelope checks come
+from ``subpart.oracles``, which the test suite shares.  The objects of the
+convex-analysis lemma (the decreasing envelope and path energies) and the
+constants residuals live here, beside the checks that use them.
 """
 
 from __future__ import annotations
@@ -26,31 +29,28 @@ from .counting import (
     count_kchains,
     count_subpartitions,
     envelope_count_bound,
-    hardy_ramanujan_exponent,
     partition_count,
 )
-from .envelope import (
-    DiscreteFunction,
-    decreasing_lower_convex_envelope,
-    lower_convex_envelope,
-    path_energy,
-)
-from .maximizer import find_maximizers, maximizer_report
-from .partitions import Partition, conjugate, enumerate_partitions, is_subpartition, profile
+from .envelope import DiscreteFunction, lower_convex_envelope
+from .maximizer import HR_RATE, find_maximizers, maximizer_report
+from .partitions import Partition, conjugate, enumerate_partitions, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
     VershikCurve,
-    artanh,
     growth_rate,
     rate_function,
-    rate_function_numeric,
     shape_functional,
-    verify_constants,
 )
-from .numerics import derivative
 from .shapes import PiecewiseLinearShape, rescale
 
 DEFAULT_SEED = 2718
+
+# excess area of log(2 cosh x) over |x|; the square of 1/VERSHIK_BETA
+AREA_CONSTANT = math.pi**2 / 12.0
+
+# quadrature window: integrands decay like x * exp(-2x), so the tail past
+# 40 is below 1e-30
+TAIL_CUTOFF = 40.0
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
             lo = min(pm.lo, pl.lo)
             hi = max(pm.hi, pl.hi)
             dominated = all(pm.value(j) <= pl.value(j) for j in range(lo, hi + 1))
-            if dominated != is_subpartition(mu, lam):
+            if dominated != oracles.is_subpartition(mu, lam):
                 return False, f"mismatch at mu={mu} lam={lam}"
             checked += 1
     return True, f"{checked} ordered pairs, sizes <= {caps.order_pairs_n}"
@@ -201,6 +201,32 @@ def check_enumeration_count(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 # ------------------------------------------------------------------ envelope
+
+
+def decreasing_lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
+    """Greatest decreasing convex minorant.
+
+    Coincides with the plain envelope up to the leftmost minimizer of f
+    (where the envelope touches f) and is constant min(f) afterwards; ties
+    in the argmin resolve leftmost, which does not change the result.
+    """
+    env = lower_convex_envelope(f)
+    c = min(range(f.lo, f.hi + 1), key=lambda i: (f.value(i), i))
+    floor = f.value(c)
+    vals = tuple(env.value(i) if i < c else floor for i in range(f.lo, f.hi + 1))
+    return DiscreteFunction(f.lo, vals)
+
+
+def path_energy(f: DiscreteFunction, psi: Callable[[float], float]) -> float:
+    """Sum of the convex cost psi over the increments of f; +infinity
+    propagates."""
+    total = 0.0
+    for d in f.increments():
+        v = psi(d)
+        if math.isinf(v):
+            return math.inf
+        total += v
+    return total
 
 
 def _random_minorant(
@@ -325,7 +351,7 @@ def check_rate_oracle(caps: VerifyCaps, rng) -> tuple[bool, str]:
     worst = 0.0
     for i in range(pts):
         x = -0.999 + 1.998 * i / (pts - 1)
-        worst = max(worst, abs(rate_function(x) - rate_function_numeric(x)))
+        worst = max(worst, abs(rate_function(x) - oracles.rate_function_numeric(x)))
     if worst >= 1e-9:
         return False, f"max deviation {worst:.3e} >= 1e-9"
     return True, f"{pts} points on [-0.999, 0.999], max deviation {worst:.3e}"
@@ -336,15 +362,54 @@ def check_rate_derivative(caps: VerifyCaps, rng) -> tuple[bool, str]:
     pts = 500
     for i in range(pts):
         x = -0.95 + 1.9 * i / (pts - 1)
-        d = derivative(growth_rate, x, h=1e-4)
-        worst = max(worst, abs(d + artanh(x)))
+        d = oracles.derivative(growth_rate, x, h=1e-4)
+        worst = max(worst, abs(d + math.atanh(x)))
     if worst >= 1e-9:
         return False, f"max residual {worst:.3e} >= 1e-9"
     return True, f"{pts} points, max residual {worst:.3e}"
 
 
+def verify_constants() -> dict[str, float]:
+    """Recompute the curve's defining identities by quadrature and finite
+    differences and return the residuals by name.
+
+    Checks, in order: the tail integral of log(1 + e^{-2x}) against
+    pi^2/24; the growth-rate integral of tanh against twice that tail
+    integral (both against pi^2/12); unit excess area of the curve; the
+    functional value, the growth rate of the curve's slope integrated over
+    [-TAIL_CUTOFF, TAIL_CUTOFF], against pi/sqrt(3); and the stationarity
+    condition slope = tanh(beta*x), differentiating the curve with a
+    five-point stencil on a grid over |x| <= 5.
+    """
+    curve = VershikCurve()
+    tail = oracles.adaptive_simpson(
+        lambda x: math.log1p(math.exp(-2.0 * x)), 0.0, TAIL_CUTOFF
+    )
+    growth_lhs = oracles.adaptive_simpson(
+        lambda u: growth_rate(math.tanh(u)), 0.0, TAIL_CUTOFF
+    )
+    area = oracles.adaptive_simpson(
+        lambda x: curve.value(x) - abs(x), -TAIL_CUTOFF, TAIL_CUTOFF
+    )
+    functional = oracles.adaptive_simpson(
+        lambda x: growth_rate(curve.slope(x)), -TAIL_CUTOFF, TAIL_CUTOFF
+    )
+    el = 0.0
+    for i in range(501):
+        x = -5.0 + 10.0 * i / 500.0
+        el = max(el, abs(oracles.derivative(curve.value, x) - curve.slope(x)))
+    return {
+        "tail_integral_residual": abs(tail - math.pi**2 / 24.0),
+        "growth_identity_lhs_residual": abs(growth_lhs - AREA_CONSTANT),
+        "growth_identity_rhs_residual": abs(2.0 * tail - AREA_CONSTANT),
+        "normalization_residual": abs(area - 1.0),
+        "functional_residual": abs(functional - FUNCTIONAL_MAX),
+        "euler_lagrange_residual": el,
+    }
+
+
 def check_limit_constants(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    report = verify_constants()
+    residuals = verify_constants()
     bounds = {
         "tail_integral_residual": 1e-8,
         "growth_identity_lhs_residual": 1e-8,
@@ -353,10 +418,10 @@ def check_limit_constants(caps: VerifyCaps, rng) -> tuple[bool, str]:
         "functional_residual": 1e-6,
         "euler_lagrange_residual": 1e-10,
     }
-    for key, value in report.as_dict().items():
+    for key, value in residuals.items():
         if value >= bounds[key]:
             return False, f"{key} = {value:.3e} >= {bounds[key]:.0e}"
-    return True, f"all residuals within bounds, worst {report.max_residual():.3e}"
+    return True, f"all residuals within bounds, worst {max(residuals.values()):.3e}"
 
 
 def random_shape(rng: random.Random, half_width: int = 4) -> PiecewiseLinearShape:
@@ -529,12 +594,14 @@ def check_pentagonal(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 def check_hr_exponent(caps: VerifyCaps, rng) -> tuple[bool, str]:
+    """The scan's reference exponent k * HR_RATE * sqrt(n) against the
+    Hardy-Ramanujan form k * pi * sqrt(2n/3)."""
     for n in (1, 6, 24, 54):
         for k in (1, 2, 3):
             expected = k * math.pi * math.sqrt(2.0 * n / 3.0)
-            if abs(hardy_ramanujan_exponent(n, k) - expected) > 1e-12:
+            if abs(k * HR_RATE * math.sqrt(n) - expected) > 1e-12:
                 return False, f"exponent wrong at n={n}, k={k}"
-    if abs(hardy_ramanujan_exponent(6) - 2 * math.pi) > 1e-12:
+    if abs(HR_RATE * math.sqrt(6) - 2 * math.pi) > 1e-12:
         return False, "closed form at n=6 missed"
     return True, "spot values including n=6 -> 2*pi"
 

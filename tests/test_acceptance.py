@@ -18,22 +18,12 @@ from subpart.counting import (
     envelope_count_bound,
     partition_count,
 )
-from subpart.envelope import (
-    DiscreteFunction,
-    decreasing_lower_convex_envelope,
-    lower_convex_envelope,
-    path_energy,
-)
+from subpart.envelope import DiscreteFunction, lower_convex_envelope
 from subpart.maximizer import find_maximizers
 from subpart.partitions import Partition, conjugate, enumerate_partitions, profile
-from subpart.ratefn import (
-    FUNCTIONAL_MAX,
-    rate_function,
-    rate_function_numeric,
-    shape_functional,
-    verify_constants,
-)
+from subpart.ratefn import FUNCTIONAL_MAX, rate_function, shape_functional
 from subpart.shapes import rescale
+from subpart.verify import decreasing_lower_convex_envelope, path_energy, verify_constants
 
 
 def all_partitions_through(n_max):
@@ -47,7 +37,7 @@ def test_criterion_01_rate_function_exactness():
     worst = 0.0
     for i in range(1000):
         x = -0.999 + 1.998 * i / 999.0
-        worst = max(worst, abs(rate_function(x) - rate_function_numeric(x)))
+        worst = max(worst, abs(rate_function(x) - oracles.rate_function_numeric(x)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9, f"max deviation {worst:.3e}"
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -55,14 +45,14 @@ def test_criterion_01_rate_function_exactness():
 
 def test_criterion_02_limit_curve_constants():
     start = time.perf_counter()
-    report = verify_constants()
+    residuals = verify_constants()
     elapsed = time.perf_counter() - start
-    assert report.functional_residual < 1e-6
-    assert report.normalization_residual < 1e-8
-    assert report.tail_integral_residual < 1e-8
-    assert report.growth_identity_lhs_residual < 1e-8
-    assert report.growth_identity_rhs_residual < 1e-8
-    assert report.euler_lagrange_residual < 1e-10
+    assert residuals["functional_residual"] < 1e-6
+    assert residuals["normalization_residual"] < 1e-8
+    assert residuals["tail_integral_residual"] < 1e-8
+    assert residuals["growth_identity_lhs_residual"] < 1e-8
+    assert residuals["growth_identity_rhs_residual"] < 1e-8
+    assert residuals["euler_lagrange_residual"] < 1e-10
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 

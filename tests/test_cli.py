@@ -231,6 +231,17 @@ def test_jobs_below_one_rejected(command, jobs):
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
 )
+@pytest.mark.parametrize(
+    "command", [["maximize", "--n", "3"], ["table", "--n", "3"], ["shape", "--n", "3"]]
+)
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_rejected(command, cap):
+    # a bad --cap is bad input (2), not a cap refusal (3)
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--cap", cap])
+    assert err.value.code == 2
+
+
 def test_count_past_int_text_limit(capsys):
     # C(2200, 1100) has 661 digits: past a lowered limit, as 4,333-digit
     # counts are past the default one
@@ -292,6 +303,31 @@ def test_cli_import_leaves_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# library names that only verify and the tests use; they moved beside the
+# oracles and out of the package's public surface
+MOVED_NAMES = (
+    "ConstantsReport",
+    "decreasing_lower_convex_envelope",
+    "hardy_ramanujan_exponent",
+    "is_subpartition",
+    "log_cosh",
+    "path_energy",
+    "rate_function_numeric",
+    "verify_constants",
+)
+
+
+def test_package_import_leaves_oracles_and_verify_unloaded():
+    code = (
+        "import sys, subpart; "
+        "print([m for m in ('subpart.oracles', 'subpart.verify') if m in sys.modules]); "
+        f"print([name for name in {MOVED_NAMES!r} if name in subpart.__all__])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_module_entry_point():

@@ -12,9 +12,9 @@ from subpart.counting import (
     count_kchains,
     count_subpartitions,
     envelope_count_bound,
-    hardy_ramanujan_exponent,
     partition_count,
 )
+from subpart.maximizer import HR_RATE
 from subpart.partitions import (
     Partition,
     ResourceLimitError,
@@ -166,11 +166,9 @@ def test_partition_count_validation():
 
 
 def test_hardy_ramanujan_exponent():
-    assert hardy_ramanujan_exponent(6) == pytest.approx(2.0 * math.pi, abs=1e-12)
-    assert hardy_ramanujan_exponent(6, 3) == pytest.approx(6.0 * math.pi, abs=1e-12)
-    assert hardy_ramanujan_exponent(1) == pytest.approx(
-        math.pi * math.sqrt(2.0 / 3.0), abs=1e-15
-    )
+    # k * HR_RATE * sqrt(n) is the exponent k * pi * sqrt(2n/3)
+    assert HR_RATE * math.sqrt(6) == pytest.approx(2.0 * math.pi, abs=1e-12)
+    assert 3 * HR_RATE * math.sqrt(6) == pytest.approx(6.0 * math.pi, abs=1e-12)
 
 
 def test_count_monotone_in_containment():

@@ -3,13 +3,9 @@ import random
 
 import pytest
 
-from subpart.envelope import (
-    DiscreteFunction,
-    decreasing_lower_convex_envelope,
-    lower_convex_envelope,
-    path_energy,
-)
+from subpart.envelope import DiscreteFunction, lower_convex_envelope
 from subpart.ratefn import rate_function
+from subpart.verify import decreasing_lower_convex_envelope, path_energy
 
 from subpart import oracles
 

@@ -8,12 +8,12 @@ from subpart.partitions import (
     conjugate,
     enumerate_partitions,
     format_partition,
-    is_subpartition,
     parse_partition,
     profile,
 )
 
 from subpart import oracles
+from subpart.oracles import is_subpartition
 
 
 def test_partition_basics():
