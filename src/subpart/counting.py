@@ -1,15 +1,15 @@
 """Exact counting of subpartitions, nested chains, and bridge paths.
 
-Everything here is integer-exact (Python arbitrary precision).  There is
-one route per object: a row DP over part values for subpartitions, a
-column DP over bridge paths below the profile, and, for k-chains, a
-k x k Gessel-Viennot determinant whose entries come from the same
-column DP run on k shifted bridges.  The first two count the same
-objects through different bijections; all three are cross-checked
-against each other and against the reference implementations in
-``subpart.oracles`` (among them the column transfer DP over nested
-height tuples and the len(lam) x len(lam) binomial determinant).  Bounds
-derived from the profile's convex envelope are carried in log space.
+Everything here is integer-exact (Python arbitrary precision).
+Subpartitions and k-chains are counted by one row DP over part values,
+carried up lam's rows into its k x k Gessel-Viennot matrix (``_lift``
+and ``_chain_matrix``, shared with the maximizer scan).  A column DP over
+bridge paths below the profile counts subpartitions through a different
+bijection; it and the reference implementations in ``subpart.oracles``
+(among them the column transfer DP over nested height tuples and the
+len(lam) x len(lam) binomial determinant) cross-check the row route.
+Bounds derived from the profile's convex envelope are carried in log
+space.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
+from operator import mul
 from typing import Iterator
 
 from .envelope import DiscreteFunction, lower_convex_envelope
@@ -26,7 +27,6 @@ from .partitions import (
     Partition,
     ResourceLimitError,
     format_partition,
-    profile,
 )
 from .ratefn import growth_rate
 
@@ -47,23 +47,14 @@ class CountResult:
 
 def count_subpartitions(lam: Partition) -> CountResult:
     """Number of partitions whose diagram fits inside lam (lam and the
-    empty partition included)."""
+    empty partition included): the row DP of ``_walk`` up to lam's top
+    row, scored as the 1 x 1 ``_chain_matrix``."""
+    (lifted,), p, r = _walk(lam.parts, 1)
     return CountResult(
-        value=_subpartition_count(lam.parts),
+        value=sum(lifted) + (r - p) * lifted[-1],
         method=ROW_DP,
         params={"partition": format_partition(lam)},
     )
-
-
-def _subpartition_count(parts: tuple[int, ...]) -> int:
-    """Row DP from the bottom row up, starting below the bottom row from
-    an empty row of length 0; the state is the value of the current part.
-    """
-    counts, p = [1], 0
-    for q in reversed(parts):
-        lifted, total = _row_step(counts)
-        counts, p = lifted + [total] * (q - p), q
-    return sum(counts)
 
 
 def _row_step(counts: list[int]) -> tuple[list[int], int]:
@@ -83,37 +74,24 @@ def _row_step(counts: list[int]) -> tuple[list[int], int]:
 
 def count_bridges_below(prof: LatticeProfile) -> CountResult:
     """Number of +-1 paths gamma with |j| <= gamma(j) <= G(j) across the
-    profile window, pinned to |j| at both ends.
+    profile window, pinned to |j| at both ends, by a column DP.
 
     Each such bridge is the profile of a subpartition, so this must agree
     with the row DP.
     """
-    ends = _bridge_ends(prof, abs(prof.lo), 0)
-    return CountResult(
-        value=ends.get(abs(prof.hi), 0),
-        method=BRIDGE_DP,
-        params={"window": [prof.lo, prof.hi]},
-    )
-
-
-def _bridge_ends(prof: LatticeProfile, start: int, drop: int) -> dict[int, int]:
-    """Column DP over +-1 paths: the paths that leave height ``start`` at
-    column lo and stay between |j| - drop and G(j) at every column j of
-    the window, counted by their height at column hi.
-
-    A path that starts and ends on or above the floor |j| - drop never
-    crosses it, so the floor only prunes paths that could not end on it.
-    """
-    ways = {start: 1}
+    ways = {abs(prof.lo): 1}
     for j, ceiling in zip(range(prof.lo + 1, prof.hi + 1), prof.heights[1:]):
-        floor = abs(j) - drop
         new: dict[int, int] = {}
         for h, c in ways.items():
             for h2 in (h - 1, h + 1):
-                if floor <= h2 <= ceiling:
+                if abs(j) <= h2 <= ceiling:
                     new[h2] = new.get(h2, 0) + c
         ways = new
-    return ways
+    return CountResult(
+        value=ways.get(abs(prof.hi), 0),
+        method=BRIDGE_DP,
+        params={"window": [prof.lo, prof.hi]},
+    )
 
 
 def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
@@ -121,26 +99,27 @@ def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
 
     Weak chains allow equal consecutive elements; strict mode forbids
     equality between consecutive chain elements only (the top containment
-    in lam stays weak).  Weak counts are k x k Gessel-Viennot determinants
-    of bridge counts (see ``_weak_chains_transfer``).  Strict counts come
-    from weak counts of every length up to k through the run-length
-    binomial transform, so they can legitimately be zero; the transform
-    runs from m = k down, so an oversized request is refused before any
-    DP work.
+    in lam stays weak).  One elimination of lam's k x k Gessel-Viennot
+    matrix (``_chain_matrix``) gives the weak counts of every length up to
+    k, and the strict count comes from them through the run-length
+    binomial transform; it can legitimately be zero.
 
-    Raises ResourceLimitError when k^2 times the profile window exceeds
-    ``DEFAULT_STATE_CAP``.
+    Raises ResourceLimitError, before any DP work, when k^2 times the
+    profile window lam_1 + len(lam) + 1 exceeds ``DEFAULT_STATE_CAP``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    prof = profile(lam)
-    if not strict:
-        value = _weak_chains_transfer(prof, k)
-    else:
-        value = sum(
-            (-1) ** (k - m) * math.comb(k - 1, m - 1) * _weak_chains_transfer(prof, m)
-            for m in range(k, 0, -1)
+    width = sum(lam.parts[:1]) + len(lam.parts) + 1
+    if k * k * width > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(
+            f"chain count for k={k} over {width} columns exceeds cap {DEFAULT_STATE_CAP}"
         )
+    vectors, p, r = _walk(lam.parts, k)
+    cols = [[math.comb(r - x, t) for x in range(1 - k, p + 1)] for t in range(k)]
+    weak = _leading_minors(_chain_matrix(vectors, p, r, cols))
+    value = weak[-1]
+    if strict:
+        value = sum((-1) ** (k - m) * math.comb(k - 1, m - 1) * w for m, w in enumerate(weak, 1))
     return CountResult(
         value=value,
         method=TRANSFER_CHAIN,
@@ -148,62 +127,94 @@ def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
     )
 
 
-# Named for the transfer DP it replaced: perfbench/tracing.py times this
-# layer under that name.
-def _weak_chains_transfer(prof: LatticeProfile, k: int) -> int:
-    """Weak k-chains below the profile, as a k x k determinant of path
-    counts (Gessel and Viennot, "Binomial determinants, paths, and hook
-    length formulae", Adv. Math. 58, 1985).
+def _walk(parts: tuple[int, ...], k: int) -> tuple[list[list[int]], int, int]:
+    """Carry ``_lift`` up lam's rows below the top one, from the bottom:
+    the lifted vectors, the part p under the top row and the top row r.
+    The empty partition is one row of length 0."""
+    parts = parts or (0,)
+    vectors, p = [[0] * (k - 1) + [1]], 0
+    for q in reversed(parts[1:]):
+        vectors = [v + [v[-1]] * (q - p) for v in _lift(vectors, p, k)]
+        p = q
+    return _lift(vectors, p, k), p, parts[0]
 
-    A weak k-chain mu_k <= ... <= mu_1 is the same thing as k bridges
-    gamma_1 >= ... >= gamma_k below the profile, ordered pointwise.  Shift
-    bridge t + 1 down by 2t, delta_t = gamma_{t+1} - 2t for t < k.  Then
-    delta_t - delta_{t+1} >= 2, so the shifted paths share no vertex, and
-    all of them stay in the region R between |j| - 2(k - 1) and G(j).
-    Conversely, vertex-disjoint paths in R from (lo, |lo| - 2t) to
-    (hi, |hi| - 2t) keep their order: every height at column j has the
-    parity of j, so two paths that cross must meet at a vertex.  Their
-    gaps are then at least 2, which gives delta_t <= delta_0 - 2t <=
-    G - 2t and delta_t >= delta_{k-1} + 2(k-1-t) >= |j| - 2t, so undoing
-    the shift gives a weak chain back.  The same order argument shows
-    that a vertex-disjoint system in R can only join source t to sink t,
-    so the Lindstrom-Gessel-Viennot lemma counts the chains as
-    det[e(s, t)], where e(s, t) counts the paths in R from
-    (lo, |lo| - 2s) to (hi, |hi| - 2t): one ``_bridge_ends`` run per
-    source.
 
-    Raises ResourceLimitError, before any DP work, when k^2 times the
-    window length exceeds ``DEFAULT_STATE_CAP``.
+def _lift(vectors: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """One row of the row DP at a node with s placed parts, the last of
+    them p: the prefix sums (``_row_step``) of the vectors of the paths
+    started so far, plus, when 0 < s < k, path s started with ones on
+    -s..p (s is then len(vectors)).  Vectors start at x = 1 - k."""
+    lifted = [list(accumulate(v)) for v in vectors]
+    s = len(lifted)
+    if p and s < k:
+        lifted.append([0] * (k - 1 - s) + [1] * (p + s + 1))
+    return lifted
+
+
+def _chain_matrix(vectors: list[list[int]], p: int, r: int, cols: list[list[int]]) -> list[list[int]]:
+    """lam's k x k Gessel-Viennot matrix, k = len(cols), from the lifted
+    ``vectors`` of its rows below the top row r, the last of them p, and
+    cols[t][x + k - 1] = C(r - x, t) for 1 - k <= x <= p.  Its leading
+    m x m minor counts the weak m-chains below lam (Gessel and Viennot,
+    Adv. Math. 58, 1985).
+
+    Put lam_i in the strip i - 1 <= y <= i, l = len(lam).  A partition mu
+    with at most l parts is the path of right and down steps from (0, l)
+    to (r, 0) that crosses the strip of lam_i at x = mu_i, and mu <= lam
+    exactly when every vertex (x, y) of the path with y >= 1 has
+    x <= lam_y: the region R.  Path t, mu_{t+1}'s moved by (-t, -t), runs
+    from source (-t, l - t) to sink (r - t, -t) and stays in R, as lam
+    decreases.  At height y mu's path covers mu_{y+1} <= x <= mu_y
+    (mu_0 = r, mu_{l+1} = 0), so when mu_{t+2} <= mu_{t+1} path t + 1 lies
+    left of path t at every height, and otherwise the largest i with
+    mu_{t+2,i} > mu_{t+1,i} puts (mu_{t+1,i} - t, i - 1 - t) on both: weak
+    k-chains are the vertex-disjoint systems of paths 0..k-1 in R.
+    Disjoint right-and-down paths cannot cross, so such a system joins
+    source t to sink t, and the Lindstrom-Gessel-Viennot lemma counts them
+    as det[e(s, t)], e(s, t) the paths in R from source s to sink t.  R
+    does not depend on k, so the first m paths give the m x m minor.
+
+    The row DP counts paths strip by strip, from lam_l to lam_1: a
+    vector's entry at x counts those crossing the current strip at x, its
+    lifted entry those reaching column x below it, and a next strip of
+    length q gets ``lifted + [T] * (q - p)``, T the total.  Source s < l
+    sits below the strip of lam_{l-s+1}, the s-th part placed, where
+    ``_lift`` starts it.  C(r - x, t) paths lead from crossing the strip
+    of lam_1 at x to sink t, summing to C(r - p, t + 1) over p < x <= r,
+    so e(s, t) = sum_x C(r - x, t) lifted[x] + T C(r - p, t + 1).  A
+    source s >= l starts below lam and meets no boundary:
+    e(s, t) = C(r + l, l - s + t), or 0 when l - s + t < 0.
     """
-    width = prof.hi - prof.lo + 1
-    if k * k * width > DEFAULT_STATE_CAP:
-        raise ResourceLimitError(
-            f"chain count for k={k} over {width} columns exceeds cap {DEFAULT_STATE_CAP}"
-        )
-    drop = 2 * (k - 1)
-    top, bottom = abs(prof.lo), abs(prof.hi)
-    rows = []
-    for s in range(k):
-        ends = _bridge_ends(prof, top - 2 * s, drop)
-        rows.append([ends.get(bottom - 2 * t, 0) for t in range(k)])
-    return _bareiss_det(rows)
+    k = len(cols)
+    tails = [math.comb(r - p, t + 1) for t in range(k)]
+    rows = [
+        [sum(map(mul, v, col)) + v[-1] * tail for col, tail in zip(cols, tails)]
+        for v in vectors
+    ]
+    ell = len(rows)
+    rows += [
+        [math.comb(r + ell, ell - s + t) if ell - s + t >= 0 else 0 for t in range(k)]
+        for s in range(ell, k)
+    ]
+    return rows
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant by fraction-free Bareiss elimination; every division
-    is exact.  No row swaps: the pivot at step i is the leading
-    (i+1) x (i+1) minor, which for the path matrices above counts the
-    vertex-disjoint systems of the first i + 1 paths and is at least 1
-    (the floor |j| shifted down by 2t is one)."""
-    m = list(rows)
-    prev = 1
-    for i in range(len(m) - 1):
+def _leading_minors(rows: list[list[int]]) -> list[int]:
+    """The leading principal minors of a square matrix, 1 x 1 up to the
+    determinant, as the pivots of fraction-free Bareiss elimination;
+    every division is exact.  No row swaps: for ``_chain_matrix`` the
+    pivot at step i, the leading (i + 1) x (i + 1) minor, counts the weak
+    (i + 1)-chains below lam and is at least 1, the chain of empty
+    partitions."""
+    m, minors, prev = list(rows), [], 1
+    for i in range(len(m)):
         pivot = m[i][i]
         for r in range(i + 1, len(m)):
             lead = m[r][i]
             m[r] = [(pivot * a - lead * b) // prev for a, b in zip(m[r], m[i])]
+        minors.append(pivot)
         prev = pivot
-    return m[-1][-1]
+    return minors
 
 
 @dataclass(frozen=True)

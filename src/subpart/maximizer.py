@@ -8,7 +8,8 @@ lexicographic order: maximizer sets come out conjugation-closed and
 deterministic.  For every k it builds each partition from its smallest
 part upward and carries row-DP vectors down that tree, so partitions
 sharing their lower rows share the DP work and each one is counted at its
-leaf, as the k x k Gessel-Viennot determinant of its weak k-chains (a
+leaf, as the determinant of the k x k Gessel-Viennot matrix that
+``count_kchains`` builds too, from the same ``counting`` helpers (a
 single entry, the subpartition count, at k = 1, where a node scores its
 children and grandchildren without children of their own from four
 running sums, walking each family of such leaves by second differences);
@@ -21,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 
 from .counting import (
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
-    _bareiss_det,
+    _chain_matrix,
+    _leading_minors,
+    _lift,
     _partition_numbers,
     _row_step,
 )
@@ -87,20 +89,12 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     brings its conjugate; one with lam_1 = len(lam) has a conjugate of the
     same kind, visited on its own.
 
-    A leaf's count is det[e(s, t)] as in ``counting._weak_chains_transfer``,
-    read by rows.  In French coordinates path s runs by right and down
-    steps from (-s, l - s) to sink t at (lam_1 - t, -t) inside lam's
-    diagram widened by k - 1 columns left and k - 1 rows below,
-    l = len(lam), crossing row after row at a weakly growing column x: the
-    row DP (``counting._row_step``) on vectors indexed from x = -(k - 1).
-    The node with s < k placed parts starts source s with the lifted
-    vector (the counts of the next row's x, up to p) of ones on -s..p.  At
-    the leaf, with T the total, C(r - x, t) paths lead from column x of
-    the top row through t rows below lam to sink t, so
-    e(s, t) = sum_x C(r - x, t) lifted[x] + T C(r - p, t + 1), while a
-    source that starts below lam (s >= l) meets no boundary:
-    e(s, t) = C(r + l, l - s + t), 0 when l - s + t < 0.  At k = 1 the
-    count is e(0, 0) = sum(lifted) + (r - p) T, the subpartition count.
+    A leaf's count for k >= 2 is the determinant of its k x k
+    Gessel-Viennot matrix, ``counting._chain_matrix``: every node lifts the
+    row-DP vectors of its chain paths (``counting._lift``), starting one
+    more path while it has fewer than k parts, and pushes every child with
+    them extended.  At k = 1 the count is the subpartition count
+    sum(lifted) + (r - p) T, T the total of the lifted vector.
 
     At k = 1 a node scores the two levels below it itself, so only nodes
     with grandchildren are pushed.  Its lifted vector L, with total T, has
@@ -128,45 +122,32 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     # binomials[t][n - r + i] = C(r - x, t) at index i = x + k - 1
     binomials = [[math.comb(n + k - 1 - i, t) for i in range(n + k)] for t in range(k)]
     best, winners, leaves = 0, [], 0
-    # path, the counts of the node's top row for source 0 and for the
-    # sources 1.. started below it, its largest part, its number of
-    # parts, the rest of n
-    stack = [(None, [0] * (k - 1) + [1], [], 0, 0, n)]
+    # path, the counts of the node's top row (for k > 1 a list of them,
+    # one per chain path started below it), its largest part, its number
+    # of parts, the rest of n
+    stack = [(None, [[0] * (k - 1) + [1]] if k > 1 else [1], 0, 0, n)]
     while stack:
-        path, counts, others, p, d, r = stack.pop()
-        lifted, total = _row_step(counts)
-        s0 = sum(lifted)
-        value = s0 + (r - p) * total
+        path, counts, p, d, r = stack.pop()
         if k > 1:
-            others = [_row_step(v)[0] for v in others]
-            s = len(others) + 1
-            if p and s < k:  # this node's s placed parts start source s
-                others.append([0] * (k - 1 - s) + [1] * (p + s + 1))
-            rows = [
-                [
-                    sum(map(mul, v, b[n - r : n - r + p + k])) + v[-1] * math.comb(r - p, t + 1)
-                    for t, b in enumerate(binomials)
-                ]
-                for v in [lifted, *others]
-            ]
-            ell = len(rows)
-            rows += [
-                [math.comb(r + ell, ell - s + t) if ell - s + t >= 0 else 0 for t in range(k)]
-                for s in range(ell, k)
-            ]
-            value = _bareiss_det(rows)
+            lifted = _lift(counts, p, k)
+            cols = [b[n - r : n - r + p + k] for b in binomials]
+            value = _leading_minors(_chain_matrix(lifted, p, r, cols))[-1]
+        else:
+            lifted, total = _row_step(counts)
+            s0 = sum(lifted)
+            value = s0 + (r - p) * total
         leaves += 1
         if value >= best:
             best = _keep(value, best, winners, r, path)
         first, last = p or 1, min(r // 2, r - d - 2)
         if k > 1:
-            deep = split = last
-        else:
-            split = min(last, r // 3, (r - d - 3) // 2)
-            deep = min(split, r // 4, (r - d - 4) // 3)
+            for q in range(first, last + 1):
+                stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
+            continue
+        split = min(last, r // 3, (r - d - 3) // 2)
+        deep = min(split, r // 4, (r - d - 4) // 3)
         for q in range(first, deep + 1):
-            child = others and [v + [v[-1]] * (q - p) for v in others]
-            stack.append(((q, path), lifted + [total] * (q - p), child, q, d + 1, r - q))
+            stack.append(((q, path), lifted + [total] * (q - p), q, d + 1, r - q))
         lo = max(first, deep + 1)  # the first child not pushed
         if lo > last:
             continue

@@ -170,8 +170,11 @@ def binomial_chain_count(parts, k):
 def scan_maximizers(n, k):
     """The largest weak k-chain count over the partitions of n, and the
     parts of every partition reaching it, in no particular order: each
-    partition is listed and counted on its own by ``count_kchains``, where
-    the package's scan streams row-DP vectors down a tree of partitions."""
+    partition is listed and counted on its own by ``count_kchains``.  The
+    package's scan builds the same Gessel-Viennot matrices while it streams
+    row-DP vectors down a tree of partitions, so this checks the traversal
+    (the tree, its pruning and the conjugates added); the count itself is
+    pinned by the transfer-DP and binomial-determinant property tests."""
     counts = {parts: count_kchains(Partition(parts), k).value for parts in partitions_of(n)}
     best = max(counts.values())
     return best, [parts for parts, c in counts.items() if c == best]

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
-from subpart import oracles
+from subpart import counting, oracles
 from subpart.counting import (
     BRIDGE_DP,
     PENTAGONAL_ITERATIVE,
@@ -121,6 +122,25 @@ def test_kchains_validation_and_caps():
         count_kchains(Partition((1,)), 1000)
     with pytest.raises(ResourceLimitError):
         count_kchains(Partition((1,)), 1000, strict=True)
+
+
+def test_strict_count_runs_one_elimination():
+    # the weak counts of every length up to k are the leading minors of one
+    # k x k matrix, so a strict count eliminates once
+    eliminate, sizes = counting._leading_minors, []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return eliminate(rows)
+
+    parts = (5, 3, 3, 1)
+    with mock.patch.object(counting, "_leading_minors", counted):
+        got = count_kchains(Partition(parts), 6, strict=True).value
+    assert sizes == [6]
+    assert got == sum(
+        (-1) ** (6 - m) * math.comb(5, m - 1) * oracles.binomial_chain_count(parts, m)
+        for m in range(1, 7)
+    )
 
 
 def test_envelope_bound_frozen_and_dominant():

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 
 from subpart import maximizer, oracles
-from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
+from subpart.counting import count_bridges_below, count_kchains, count_subpartitions
 from subpart.maximizer import (
     HR_RATE,
     _scan_maxima,
@@ -41,7 +41,7 @@ def test_maximizers_are_actual_maxima():
     # the streamed scan against the exhaustive route: every partition
     # counted on its own, winners re-counted as bridges below the profile
     for n in range(1, 31):
-        counts = {lam: _subpartition_count(lam.parts) for lam in enumerate_partitions(n)}
+        counts = {lam: count_subpartitions(lam).value for lam in enumerate_partitions(n)}
         best = max(counts.values())
         report = find_maximizers(n)
         assert report.max_count.value == best
@@ -113,9 +113,12 @@ def test_scan_scores_every_leaf_once(k):
         assert _scan_maxima(n, k)[2] == want
 
 
-@pytest.mark.parametrize("k, top", [(1, 30), (2, 16)])
+@pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16)])
 def test_scan_scores_every_leaf_exactly(k, top):
-    # a _keep that never raises the best records every leaf the scan scores
+    # a _keep that never raises the best records every leaf the scan scores;
+    # the scan and count_kchains share the Gessel-Viennot matrix, so each
+    # leaf is checked against a route of its own: the bridge column DP at
+    # k = 1, the binomial determinant beyond
     keep, scored = maximizer._keep, []
 
     def record(value, best, winners, top, path):
@@ -124,12 +127,17 @@ def test_scan_scores_every_leaf_exactly(k, top):
         scored.append((parts[0], value))
         return best
 
+    def independent(parts):
+        if k == 1:
+            return count_bridges_below(profile(Partition(parts))).value
+        return oracles.binomial_chain_count(parts, k)
+
     with mock.patch.object(maximizer, "_keep", record):
         for n in range(1, top + 1):
             scored.clear()
             _scan_maxima(n, k)
             want = [
-                (lam, count_kchains(Partition(lam), k).value)
+                (lam, independent(lam))
                 for lam in oracles.partitions_of(n)
                 if lam[0] >= len(lam)
             ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpart import maximizer, oracles
-from subpart.counting import _subpartition_count, count_bridges_below, count_kchains
+from subpart.counting import count_bridges_below, count_kchains, count_subpartitions
 from subpart.partitions import Partition, conjugate, profile
 
 
@@ -32,13 +32,14 @@ def test_profile_walk_matches_diagonal_count(parts):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_partitions(15, 40))
 def test_row_dp_matches_bridge_dp(parts):
-    assert _subpartition_count(parts) == count_bridges_below(profile(Partition(parts))).value
+    lam = Partition(parts)
+    assert count_subpartitions(lam).value == count_bridges_below(profile(lam)).value
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(_partitions(4, 4))
 def test_row_dp_matches_brute_force(parts):
-    assert _subpartition_count(parts) == len(oracles.brute_subpartitions(parts))
+    assert count_subpartitions(Partition(parts)).value == len(oracles.brute_subpartitions(parts))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
