@@ -1,11 +1,12 @@
-import random
-
 import pytest
 
+from subpart.verify import run_verification
 
-@pytest.fixture
-def rng():
-    return random.Random(987123)
+
+@pytest.fixture(scope="session")
+def full_run():
+    """One ``--level full`` run of the verify registry, by check name."""
+    return {r.name: r for r in run_verification("full")}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,7 +14,6 @@ from subpart.maximizer import (
 from subpart.partitions import (
     Partition,
     ResourceLimitError,
-    conjugate,
     enumerate_partitions,
     profile,
 )
@@ -81,20 +80,6 @@ def test_maximizers_large_n_pinned(n, value, maximizers):
     report = find_maximizers(n)
     assert report.max_count.value == value
     assert report.maximizers == tuple(Partition(p) for p in maximizers)
-
-
-def test_maximizer_sets_are_conjugation_closed():
-    # the scan's sets are closed by construction (it visits lam_1 >= len(lam)
-    # and adds conjugates); the per-partition argmax must be closed on its own
-    for n in range(1, 13):
-        for k in (1, 2):
-            report = find_maximizers(n, k)
-            have = set(report.maximizers)
-            assert {conjugate(lam) for lam in have} == have
-            _, winners = oracles.scan_maximizers(n, k)
-            oracle = {Partition(parts) for parts in winners}
-            assert {conjugate(lam) for lam in oracle} == oracle
-            assert oracle == have
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
