@@ -7,14 +7,16 @@ conjugate of each winner, and reports every argmax in decreasing
 lexicographic order: maximizer sets come out conjugation-closed and
 deterministic.  For every k it builds each partition from its smallest
 part upward and carries row-DP vectors down that tree, so partitions
-sharing their lower rows share the DP work and each one is counted at its
-leaf, as the determinant of the k x k Gessel-Viennot matrix that
-``count_kchains`` builds too, from the same ``counting`` helpers (a
-single entry, the subpartition count, at k = 1, where a node scores its
-children and grandchildren without children of their own from four
-running sums, walking each family of such leaves by second differences);
-nothing is materialized but the winners.  The scan runs in one process,
-and ``check_scan`` refuses an oversized n or k before any of its work.
+sharing their lower rows share the DP work, and each one is counted as the
+determinant of the k x k Gessel-Viennot matrix that ``count_kchains``
+builds too, from the same ``counting`` helpers (a single entry, the
+subpartition count, at k = 1).  Only nodes with grandchildren are pushed:
+a node scores its children and grandchildren that have no children of
+their own in closed form, family by family, from sums it moves from leaf
+to leaf by Pascal's rule (at k = 1, four running sums walked by second
+differences); nothing is materialized but the winners.  The scan runs in
+one process, and ``check_scan`` refuses an oversized n or k before any of
+its work.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, mul
 
 from .counting import (
     CountResult,
@@ -89,16 +92,25 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     brings its conjugate; one with lam_1 = len(lam) has a conjugate of the
     same kind, visited on its own.
 
-    A leaf's count for k >= 2 is the determinant of its k x k
-    Gessel-Viennot matrix, ``counting._chain_matrix``: every node lifts the
-    row-DP vectors of its chain paths (``counting._lift``), starting one
-    more path while it has fewer than k parts, and pushes every child with
-    them extended.  At k = 1 the count is the subpartition count
+    A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
+    ``counting._chain_matrix``: every node lifts the row-DP vectors of its
+    chain paths (``counting._lift``), starting one more path while it has
+    fewer than k parts, and a child gets them extended by their last
+    entries.  At k = 1 the count is the subpartition count
     sum(lifted) + (r - p) T, T the total of the lifted vector.
 
-    At k = 1 a node scores the two levels below it itself, so only nodes
-    with grandchildren are pushed.  Its lifted vector L, with total T, has
-    the running sums s0 = sum(L), s1 = sum(accumulate(L)) and
+    Child q has children q' >= q only if q <= (r - q) // 2 and
+    q <= r - q - d - 3, that is q <= split = min(r // 3, (r - d - 3) // 2),
+    and grandchildren only if its child q' = q has children, that is
+    q <= deep = min(split, r // 4, (r - d - 4) // 3); both bounds fall with
+    q.  For every k only children up to deep are pushed, and a node scores
+    the two levels below it itself.  The leaves of its later children are
+    one family of the node, and each pre-leaf child (deep < q <= split)
+    adds its children's leaves, a family over q' >= q of that child, with
+    r - q still to place.
+
+    At k = 1 the node's lifted vector L, with total T, has the running sums
+    s0 = sum(L), s1 = sum(accumulate(L)) and
     s2 = sum(accumulate(accumulate(L))).  A child q = p + m lifts
     L + [T] * m: the new entries lift to s0 + i T (i = 1..m) and, lifted
     again, to s1 + i s0 + T i(i+1)/2, so the child's total and sums are
@@ -108,19 +120,40 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     child's leaf counts V(q) = c0 + (r - 2q) tc, so
     V(q + 1) - V(q) = T (r - 2q - 1) - tc, a step that falls by 3T a part:
     2T as r - 2q shrinks and T as tc grows.  Each family of leaves is thus
-    walked by second differences (``_family``).
+    walked by second differences (``_family``): the node's own from its
+    first leaf's tc and c0, and pre-leaf child q's over a node of total
+    tc whose first leaf has total c0 and sum c1.
 
-    Child q has children q' >= q only if q <= (r - q) // 2 and
-    q <= r - q - d - 3, that is q <= split = min(r // 3, (r - d - 3) // 2),
-    and grandchildren only if its child q' = q has children, that is
-    q <= deep = min(split, r // 4, (r - d - 4) // 3); both bounds fall with
-    q.  Children up to deep are pushed.  The leaves of the later ones are
-    one family of the node, and each pre-leaf child (deep < q <= split)
-    adds its children's leaves, a family over q' >= q on a node of total
-    tc whose first leaf has total c0 and sum c1, with r - q still to place.
+    At k >= 2 a family puts one more part q, part <= q <= last, on a
+    family node whose lifted vectors V_s end in T_s, its last part being
+    P, and leaves top = rest - q on top.  The hockey-stick identity
+    carries V_s + [T_s] * (q - P) through the leaf's row:
+    e(s, t) = w_s[t + 2] - T_s C(top + 1 - q, t + 2), where
+    w_s[j] = sum_y V_s[y] C(top + 1 - y, j - 1) + T_s C(top + 1 - P, j)
+    sums V_s extended by T_s without end, and w_s[0] = T_s.  From one leaf
+    to the next, q falls by one and top rises by one, and Pascal's rule
+    adds the old w_s[j - 1] to every w_s[j] (``_pascal_up``), so a leaf
+    costs O(k^2) additions and a k x k determinant, ad - bc at k = 2
+    (``_chain_family``).  The first leaves' vectors come from the binomial
+    sums G_{s,j}(R) = sum_y L_s[y] C(R - y, j), j = 0..k+1, of the
+    node's lifted vectors L_s (``_binomial_sums``).  The node's own
+    family, V = L and P = p, has w_s[j] = G_{s,j-1}(R) + T_s C(R - p, j)
+    at R = top + 1.  Pre-leaf child q, whose vectors are never built, has
+    w_s[j] = G_{s,j}(R) + T_s (C(R - p, j + 1) - C(R - q, j + 1)) at
+    R = top + 2, so w_s[0] = sum(L_s) + (q - p) T_s, the child's total;
+    the pre-leaf children are taken from the last, whose first leaf has
+    the lowest R, so one set of sums G is moved up by Pascal's rule.  A
+    source s >= ell that the node, with ell lifted vectors, has not
+    started is binomial: the paths started at the family node (vector
+    ones, T = 1) and at the leaf, and the sources below lam (as in
+    ``_chain_matrix``), all have w_s[j] = C(R + ell, j + level - 2 - s + ell)
+    in the family ``level`` levels down, R = top + level
+    (``_binomial_paths``).
     """
-    # binomials[t][n - r + i] = C(r - x, t) at index i = x + k - 1
-    binomials = [[math.comb(n + k - 1 - i, t) for i in range(n + k)] for t in range(k)]
+    # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
+    # pascal[m][j] = C(m, j)
+    binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
+    pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
     best, winners, leaves = 0, [], 0
     # path, the counts of the node's top row (for k > 1 a list of them,
     # one per chain path started below it), its largest part, its number
@@ -130,7 +163,7 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
         path, counts, p, d, r = stack.pop()
         if k > 1:
             lifted = _lift(counts, p, k)
-            cols = [b[n - r : n - r + p + k] for b in binomials]
+            cols = [b[n - r : n - r + p + k] for b in binomials[:k]]
             value = _leading_minors(_chain_matrix(lifted, p, r, cols))[-1]
         else:
             lifted, total = _row_step(counts)
@@ -140,16 +173,43 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
         if value >= best:
             best = _keep(value, best, winners, r, path)
         first, last = p or 1, min(r // 2, r - d - 2)
-        if k > 1:
-            for q in range(first, last + 1):
-                stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
-            continue
         split = min(last, r // 3, (r - d - 3) // 2)
         deep = min(split, r // 4, (r - d - 4) // 3)
         for q in range(first, deep + 1):
-            stack.append(((q, path), lifted + [total] * (q - p), q, d + 1, r - q))
+            grown = [v + [v[-1]] * (q - p) for v in lifted] if k > 1 else lifted + [total] * (q - p)
+            stack.append(((q, path), grown, q, d + 1, r - q))
         lo = max(first, deep + 1)  # the first child not pushed
         if lo > last:
+            continue
+        if k > 1:
+            ell = len(lifted)
+            # every child not pushed is a leaf of this node's family ...
+            R = r - last + 1
+            ws = [
+                [v[-1]] + [g + v[-1] * c for g, c in zip(gs[: k + 1], pascal[R - p][1:])]
+                for v, gs in zip(lifted, _binomial_sums(lifted, binomials, n - R))
+            ]
+            ws += _binomial_paths(pascal[R + ell], ell, k, 1)
+            best = _chain_family(ws, lo, last, r, pascal, best, winners, path)
+            leaves += last - lo + 1
+            # ... and the children of a pre-leaf child are a family of its
+            # own, taken from the last so that R never falls
+            sums = None
+            for q in range(split, lo - 1, -1):
+                end = min((r - q) // 2, r - q - d - 3)
+                R = r - q - end + 2
+                if sums is None:
+                    sums, at = _binomial_sums(lifted, binomials, n - R), R
+                for _ in range(R - at):
+                    _pascal_up(sums)
+                at = R
+                ws = [
+                    [g + v[-1] * (b - c) for g, b, c in zip(gs, pascal[R - p][1:], pascal[R - q][1:])]
+                    for v, gs in zip(lifted, sums)
+                ]
+                ws += _binomial_paths(pascal[R + ell], ell, k, 2)
+                best = _chain_family(ws, q, end, r - q, pascal, best, winners, (q, path))
+                leaves += end - q + 1
             continue
         sums = list(accumulate(lifted))
         s1 = sum(sums)
@@ -168,6 +228,63 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
             c1 += c0
     winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
     return best, winners, leaves
+
+
+def _binomial_sums(lifted: list[list[int]], binomials: list[list[int]], at: int) -> list[list[int]]:
+    """G_{s,j}(R) = sum_y lifted[s][y] C(R - y, j), j = 0..k+1, at
+    R = n - at: dot products with the scan's table,
+    binomials[j][at + y + k - 1] = C(R - y, j)."""
+    width = len(lifted[0])
+    return [[sum(map(mul, v, b[at : at + width])) for b in binomials] for v in lifted]
+
+
+def _pascal_up(ws: list[list[int]]) -> None:
+    """Move every vector of binomial sums in ``ws`` from R to R + 1 in
+    place: Pascal's rule C(m + 1, j) = C(m, j) + C(m, j - 1) adds the old
+    w[j - 1] to each w[j], j >= 1, and w[0] stays."""
+    for w in ws:
+        w[1:] = map(add, w[1:], w)
+
+
+def _binomial_paths(row: list[int], ell: int, k: int, level: int) -> list[list[int]]:
+    """The family vectors of the sources ell..k-1 that a node with ell
+    lifted vectors has not started, in its family ``level`` levels down,
+    from row = C(R + ell, .) for that family's first leaf: slices of the
+    row shifted right by s - ell + 2 - level (see ``_scan_maxima``)."""
+    return [[0] * (s - ell + 2 - level) + row[: k + ell + level - s] for s in range(ell, k)]
+
+
+def _chain_family(
+    ws: list[list[int]],
+    part: int,
+    last: int,
+    rest: int,
+    pascal: list[list[int]],
+    best: int,
+    winners: list[tuple[int, ...]],
+    path,
+) -> int:
+    """Score the k >= 2 leaves that put one part q, part <= q <= last, over
+    the linked ``path`` of a node and all of top = rest - q on top, from
+    last down, given the family vectors ``ws`` of the k chain paths at
+    q = last: leaf q's Gessel-Viennot matrix is
+    e(s, t) = ws[s][t + 2] - ws[s][0] C(top + 1 - q, t + 2), and one Pascal
+    step of every vector moves to q - 1.  Records winners as ``_keep``
+    does and returns the new best; ``ws`` is used up."""
+    for q in range(last, part - 1, -1):
+        top = rest - q
+        cut = pascal[top + 1 - q]
+        if len(ws) == 2:
+            (a0, _, a1, a2), (b0, _, b1, b2) = ws
+            c1, c2 = cut[2], cut[3]
+            value = (a1 - a0 * c1) * (b2 - b0 * c2) - (a2 - a0 * c2) * (b1 - b0 * c1)
+        else:
+            tail = cut[2:]
+            value = _leading_minors([[a - w[0] * c for a, c in zip(w[2:], tail)] for w in ws])[-1]
+        if value >= best:
+            best = _keep(value, best, winners, top, (q, path))
+        _pascal_up(ws)
+    return best
 
 
 def _shift(total: int, s0: int, s1: int, s2: int, m: int) -> tuple[int, int, int]:

@@ -1,9 +1,9 @@
 """Self-verification suites: every structural invariant of the package,
 runnable at two effort levels.
 
-``fast`` shrinks the exhaustive caps and trial counts so the whole battery
-finishes in seconds; ``full`` runs everything at the documented sizes,
-including the limit-shape trend scan.  Each check returns a CheckResult;
+``fast`` shrinks the exhaustive caps, the trial counts and the range of
+the limit-shape trend so the whole battery finishes in seconds; ``full``
+runs everything at the documented sizes.  Each check returns a CheckResult;
 a check failure never raises, it reports.
 
 The independent routes the counting checks compare against (enumeration,
@@ -81,7 +81,7 @@ class VerifyCaps:
     closure_n: int
     closure_chain_n: int
     growth_n: int
-    run_trend: bool
+    trend_ns: range
     determinism_n: int
 
 
@@ -102,7 +102,7 @@ FAST = VerifyCaps(
     closure_n=10,
     closure_chain_n=8,
     growth_n=12,
-    run_trend=False,
+    trend_ns=range(15, 20),
     determinism_n=10,
 )
 
@@ -123,7 +123,7 @@ FULL = VerifyCaps(
     closure_n=20,
     closure_chain_n=20,
     growth_n=30,
-    run_trend=True,
+    trend_ns=range(25, 36),
     determinism_n=20,
 )
 
@@ -685,23 +685,24 @@ def check_maximizer_growth(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 def check_limit_shape_trend(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    """Maximizer shapes drift toward the limit curve as n grows, and their
-    envelopes never beat the curve's functional value."""
-    if not caps.run_trend:
-        return True, "skipped at fast level"
+    """Maximizer shapes drift toward the limit curve as n grows, from
+    n = 1..5 to ``caps.trend_ns``, and their envelopes never beat the
+    curve's functional value."""
+    ns = caps.trend_ns
+    span = f"d[{ns[0]}..{ns[-1]}]"
     small = [find_maximizers(n, 1) for n in range(1, 6)]
-    large = [find_maximizers(n, 1) for n in range(25, 36)]
+    large = [find_maximizers(n, 1) for n in ns]
     d_small = min(r.distance_to_vershik for r in small)
     d_large = min(r.distance_to_vershik for r in large)
     if d_large >= d_small:
-        return False, f"no trend: min d[25..35]={d_large:.4f} >= min d[1..5]={d_small:.4f}"
+        return False, f"no trend: min {span}={d_large:.4f} >= min d[1..5]={d_small:.4f}"
     for report in small + large:
         env = rescale(profile(report.maximizers[0]), report.n).envelope()
         if shape_functional(env) > FUNCTIONAL_MAX + 1e-9:
             return False, f"envelope functional too large at n={report.n}"
         if report.hr_reference - report.exponent <= 0.0:
             return False, f"exponent gap closed at n={report.n}"
-    return True, f"min d[25..35]={d_large:.4f} < min d[1..5]={d_small:.4f}"
+    return True, f"min {span}={d_large:.4f} < min d[1..5]={d_small:.4f}"
 
 
 def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:

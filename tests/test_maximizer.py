@@ -98,7 +98,7 @@ def test_scan_scores_every_leaf_once(k):
         assert _scan_maxima(n, k)[2] == want
 
 
-@pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16)])
+@pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12)])
 def test_scan_scores_every_leaf_exactly(k, top):
     # a _keep that never raises the best records every leaf the scan scores;
     # the scan and count_kchains share the Gessel-Viennot matrix, so each
@@ -143,23 +143,27 @@ def _nodes_with_grandchildren(n):
     return found
 
 
-def test_k1_scan_pushes_only_nodes_with_grandchildren():
-    # one row step per popped node: the root and the children with
-    # grandchildren; every other node is scored in its parent or grandparent
-    row_step, steps = maximizer._row_step, []
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_pushes_only_nodes_with_grandchildren(k):
+    # one row step (k = 1) or lift (k >= 2) per popped node: the root and
+    # the children with grandchildren; every other node is scored in its
+    # parent or grandparent
+    name = "_row_step" if k == 1 else "_lift"
+    step, pops = getattr(maximizer, name), []
 
-    def counted(counts):
-        steps.append(counts)
-        return row_step(counts)
+    def counted(*args):
+        pops.append(args)
+        return step(*args)
 
-    with mock.patch.object(maximizer, "_row_step", counted):
+    with mock.patch.object(maximizer, name, counted):
         for n in range(1, 31):
-            steps.clear()
-            _scan_maxima(n, 1)
-            assert len(steps) == 1 + _nodes_with_grandchildren(n)
-        steps.clear()
-        assert _scan_maxima(45, 1)[2] == 46767
-        assert len(steps) == 3204
+            pops.clear()
+            _scan_maxima(n, k)
+            assert len(pops) == 1 + _nodes_with_grandchildren(n)
+        if k < 3:
+            pops.clear()
+            assert _scan_maxima(45, k)[2] == 46767
+            assert len(pops) == 3204
 
 
 def test_chain_maximizer_counts_match_direct():
@@ -185,6 +189,18 @@ def test_chain_scan_matches_per_partition_counts(k):
         (34, 2, 3553214, ((10, 7, 5, 4, 3, 2, 1, 1, 1), (9, 6, 5, 4, 3, 2, 2, 1, 1, 1))),
         (26, 3, 23183098, ((8, 6, 4, 3, 2, 1, 1, 1), (8, 5, 4, 3, 2, 2, 1, 1))),
         (20, 4, 25740890, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1))),
+        (
+            40,
+            2,
+            20041274,
+            ((11, 8, 6, 4, 3, 2, 2, 1, 1, 1, 1), (11, 7, 5, 4, 3, 3, 2, 2, 1, 1, 1)),
+        ),
+        (
+            45,
+            2,
+            80989786,
+            ((12, 8, 6, 5, 4, 3, 2, 2, 1, 1, 1), (11, 8, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1)),
+        ),
     ],
 )
 def test_chain_maximizers_pinned(n, k, value, maximizers):

@@ -76,7 +76,7 @@ def test_unknown_level_rejected():
 
 def test_caps_presets():
     assert FULL.envelope_trials > FAST.envelope_trials
-    assert FULL.run_trend and not FAST.run_trend
+    assert FULL.trend_ns == range(25, 36) and FAST.trend_ns == range(15, 20)
 
 
 def test_random_shape_generator():
