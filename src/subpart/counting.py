@@ -2,8 +2,10 @@
 
 Everything here is integer-exact (Python arbitrary precision).
 Subpartitions and k-chains are counted by one row DP over part values,
-carried up lam's rows into its k x k Gessel-Viennot matrix (``_lift``
-and ``_chain_matrix``, shared with the maximizer scan).  A column DP over
+carried up lam's rows (``_lift``) into its k x k Gessel-Viennot matrix
+(``_chain_matrix``), whose minors ``_leading_minors`` takes; the
+maximizer scan shares ``_lift`` and ``_leading_minors`` but builds its
+matrices in closed form.  A column DP over
 bridge paths below the profile counts subpartitions through a different
 bijection; it and the reference implementations in ``subpart.oracles``
 (among them the column transfer DP over nested height tuples and the

@@ -6,17 +6,17 @@ partitions of n with largest part at least their length, adds the
 conjugate of each winner, and reports every argmax in decreasing
 lexicographic order: maximizer sets come out conjugation-closed and
 deterministic.  For every k it builds each partition from its smallest
-part upward and carries row-DP vectors down that tree, so partitions
-sharing their lower rows share the DP work, and each one is counted as the
-determinant of the k x k Gessel-Viennot matrix that ``count_kchains``
-builds too, from the same ``counting`` helpers (a single entry, the
-subpartition count, at k = 1).  Only nodes with grandchildren are pushed:
-a node scores its children and grandchildren that have no children of
-their own in closed form, family by family, from sums it moves from leaf
+part upward and carries row-DP vectors (``counting._lift``) down that
+tree, so partitions sharing their lower rows share the DP work.  Every
+leaf is scored by its grandparent: a node scores the leaves of each
+child's children in closed form, as determinants of their k x k
+Gessel-Viennot matrices, family by family, from sums it moves from leaf
 to leaf by Pascal's rule (at k = 1, four running sums walked by second
-differences); nothing is materialized but the winners.  The scan runs in
-one process, and ``check_scan`` refuses an oversized n or k before any of
-its work.
+differences).  So only nodes with grandchildren are pushed, and the
+root's leaf (n) and its children's leaves (n - q, q), which have no
+grandparent, are counted by ``count_kchains``; nothing is materialized
+but the winners.  The scan runs in one process, and ``check_scan``
+refuses an oversized n or k before any of its work.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .counting import (
     CountResult,
     ROW_DP,
     TRANSFER_CHAIN,
-    _chain_matrix,
     _leading_minors,
     _lift,
     _partition_numbers,
     _row_step,
+    count_kchains,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -93,68 +93,70 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     same kind, visited on its own.
 
     A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
-    ``counting._chain_matrix``: every node lifts the row-DP vectors of its
-    chain paths (``counting._lift``), starting one more path while it has
-    fewer than k parts, and a child gets them extended by their last
-    entries.  At k = 1 the count is the subpartition count
-    sum(lifted) + (r - p) T, T the total of the lifted vector.
+    the one ``count_kchains`` builds (``counting._chain_matrix``): every
+    node lifts the row-DP vectors of its chain paths (``counting._lift``),
+    starting one more path while it has fewer than k parts, and a child
+    gets them extended by their last entries.  At k = 1 the count is the
+    subpartition count sum(lifted) + (r - p) T, T the total of the lifted
+    vector.
 
     Child q has children q' >= q only if q <= (r - q) // 2 and
     q <= r - q - d - 3, that is q <= split = min(r // 3, (r - d - 3) // 2),
     and grandchildren only if its child q' = q has children, that is
     q <= deep = min(split, r // 4, (r - d - 4) // 3); both bounds fall with
-    q.  For every k only children up to deep are pushed, and a node scores
-    the two levels below it itself.  The leaves of its later children are
-    one family of the node, and each pre-leaf child (deep < q <= split)
-    adds its children's leaves, a family over q' >= q of that child, with
-    r - q still to place.
+    q.  Every leaf is scored by its grandparent: the leaves of child q's
+    children, q <= q' <= end with r - q - q' on top, are a family that the
+    node scores for each child with children (first <= q <= split), so
+    only the children up to deep are pushed.  The root's leaf (n) and its
+    children's leaves (n - q, q), 1 <= q <= min(n // 2, n - 2), have no
+    grandparent, and ``count_kchains`` counts them.
 
-    At k = 1 the node's lifted vector L, with total T, has the running sums
-    s0 = sum(L), s1 = sum(accumulate(L)) and
-    s2 = sum(accumulate(accumulate(L))).  A child q = p + m lifts
-    L + [T] * m: the new entries lift to s0 + i T (i = 1..m) and, lifted
-    again, to s1 + i s0 + T i(i+1)/2, so the child's total and sums are
-    tc = s0 + m T, c0 = s1 + m s0 + T m(m+1)/2 and
-    c1 = s2 + m s1 + s0 m(m+1)/2 + T m(m+1)(m+2)/6 (``_shift``), and one
-    more part adds T to tc, the new tc to c0 and the new c0 to c1.  The
-    child's leaf counts V(q) = c0 + (r - 2q) tc, so
-    V(q + 1) - V(q) = T (r - 2q - 1) - tc, a step that falls by 3T a part:
-    2T as r - 2q shrinks and T as tc grows.  Each family of leaves is thus
-    walked by second differences (``_family``): the node's own from its
-    first leaf's tc and c0, and pre-leaf child q's over a node of total
-    tc whose first leaf has total c0 and sum c1.
+    At k = 1 the node's lifted vector L has total T, and child q lifts
+    L + [T] * (q - p).  Write tc, c0 and c1 for the total and sum of child
+    q's lifted vector and the sum of its prefix sums: at q = p they are
+    sum(L), sum(accumulate(L)) and sum(accumulate(accumulate(L))), and one
+    more part appends T to the child's vector, which adds T to tc, the new
+    tc to c0 and the new c0 to c1; the root, p = 0, takes that step once
+    for its first child, q = 1.  By the same rule, a family node of total
+    T' whose leaf q' lifts to total t and sum c gives that leaf the count
+    V(q') = c + (rest - 2q') t, so V(q' + 1) - V(q') = T' (rest - 2q' - 1) - t,
+    a step that falls by 3T' a part: 2T' as rest - 2q' shrinks and T' as t
+    grows.  Child q's family, with rest = r - q, is thus walked by second
+    differences (``_family``) from T' = tc, t = c0 and c = c1 at q' = q.
 
-    At k >= 2 a family puts one more part q, part <= q <= last, on a
-    family node whose lifted vectors V_s end in T_s, its last part being
-    P, and leaves top = rest - q on top.  The hockey-stick identity
-    carries V_s + [T_s] * (q - P) through the leaf's row:
-    e(s, t) = w_s[t + 2] - T_s C(top + 1 - q, t + 2), where
-    w_s[j] = sum_y V_s[y] C(top + 1 - y, j - 1) + T_s C(top + 1 - P, j)
-    sums V_s extended by T_s without end, and w_s[0] = T_s.  From one leaf
-    to the next, q falls by one and top rises by one, and Pascal's rule
+    At k >= 2 child q's lifted vectors V_s end in U_s, and its family puts
+    one more part q' on it and leaves top = r - q - q' on top.  The
+    hockey-stick identity carries V_s + [U_s] * (q' - q) through the
+    leaf's row: e(s, t) = w_s[t + 2] - U_s C(top + 1 - q', t + 2), where
+    w_s[j] = sum_y V_s[y] C(top + 1 - y, j - 1) + U_s C(top + 1 - q, j)
+    sums V_s extended by U_s without end, and w_s[0] = U_s.  From one leaf
+    to the next, q' falls by one and top rises by one, and Pascal's rule
     adds the old w_s[j - 1] to every w_s[j] (``_pascal_up``), so a leaf
     costs O(k^2) additions and a k x k determinant, ad - bc at k = 2
-    (``_chain_family``).  The first leaves' vectors come from the binomial
-    sums G_{s,j}(R) = sum_y L_s[y] C(R - y, j), j = 0..k+1, of the
-    node's lifted vectors L_s (``_binomial_sums``).  The node's own
-    family, V = L and P = p, has w_s[j] = G_{s,j-1}(R) + T_s C(R - p, j)
-    at R = top + 1.  Pre-leaf child q, whose vectors are never built, has
+    (``_chain_family``).  The child's vectors are never built: from the
+    binomial sums G_{s,j}(R) = sum_y L_s[y] C(R - y, j), j = 0..k+1, of
+    the node's lifted vectors L_s, ending in T_s (``_binomial_sums``),
     w_s[j] = G_{s,j}(R) + T_s (C(R - p, j + 1) - C(R - q, j + 1)) at
-    R = top + 2, so w_s[0] = sum(L_s) + (q - p) T_s, the child's total;
-    the pre-leaf children are taken from the last, whose first leaf has
-    the lowest R, so one set of sums G is moved up by Pascal's rule.  A
-    source s >= ell that the node, with ell lifted vectors, has not
-    started is binomial: the paths started at the family node (vector
-    ones, T = 1) and at the leaf, and the sources below lam (as in
-    ``_chain_matrix``), all have w_s[j] = C(R + ell, j + level - 2 - s + ell)
-    in the family ``level`` levels down, R = top + level
+    R = top + 2 for the family's first leaf, so
+    w_s[0] = sum(L_s) + (q - p) T_s = U_s.  The children are taken from
+    the last, whose first leaf has the lowest R, so one set of sums G is
+    moved up by Pascal's rule.  A source s >= ell that the node, with ell
+    lifted vectors, has not started is binomial: the paths started at the
+    child (vector ones, U = 1) and at the leaf, and the sources below lam
+    (as in ``_chain_matrix``), all have w_s[j] = C(R + ell, j - s + ell)
     (``_binomial_paths``).
     """
     # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
     # pascal[m][j] = C(m, j)
     binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
     pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
-    best, winners, leaves = 0, [], 0
+    # the root's leaf (n) and its children's leaves (n - q, q) have no
+    # grandparent
+    best, winners, leaves = 0, [], max(1, min(n // 2, n - 2) + 1)
+    for q in range(leaves):
+        value = count_kchains(Partition((n - q, q) if q else (n,)), k).value
+        if value >= best:
+            best = _keep(value, best, winners, n - q, (q, None) if q else None)
     # path, the counts of the node's top row (for k > 1 a list of them,
     # one per chain path started below it), its largest part, its number
     # of parts, the rest of n
@@ -163,39 +165,20 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
         path, counts, p, d, r = stack.pop()
         if k > 1:
             lifted = _lift(counts, p, k)
-            cols = [b[n - r : n - r + p + k] for b in binomials[:k]]
-            value = _leading_minors(_chain_matrix(lifted, p, r, cols))[-1]
         else:
             lifted, total = _row_step(counts)
-            s0 = sum(lifted)
-            value = s0 + (r - p) * total
-        leaves += 1
-        if value >= best:
-            best = _keep(value, best, winners, r, path)
-        first, last = p or 1, min(r // 2, r - d - 2)
-        split = min(last, r // 3, (r - d - 3) // 2)
+        first = p or 1
+        split = min(r // 3, (r - d - 3) // 2)
         deep = min(split, r // 4, (r - d - 4) // 3)
         for q in range(first, deep + 1):
             grown = [v + [v[-1]] * (q - p) for v in lifted] if k > 1 else lifted + [total] * (q - p)
             stack.append(((q, path), grown, q, d + 1, r - q))
-        lo = max(first, deep + 1)  # the first child not pushed
-        if lo > last:
-            continue
+        # each child with children, first <= q <= split, brings the family
+        # of its children's leaves
         if k > 1:
-            ell = len(lifted)
-            # every child not pushed is a leaf of this node's family ...
-            R = r - last + 1
-            ws = [
-                [v[-1]] + [g + v[-1] * c for g, c in zip(gs[: k + 1], pascal[R - p][1:])]
-                for v, gs in zip(lifted, _binomial_sums(lifted, binomials, n - R))
-            ]
-            ws += _binomial_paths(pascal[R + ell], ell, k, 1)
-            best = _chain_family(ws, lo, last, r, pascal, best, winners, path)
-            leaves += last - lo + 1
-            # ... and the children of a pre-leaf child are a family of its
-            # own, taken from the last so that R never falls
-            sums = None
-            for q in range(split, lo - 1, -1):
+            # taken from the last, so that R never falls
+            ell, sums = len(lifted), None
+            for q in range(split, first - 1, -1):
                 end = min((r - q) // 2, r - q - d - 3)
                 R = r - q - end + 2
                 if sums is None:
@@ -207,19 +190,17 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
                     [g + v[-1] * (b - c) for g, b, c in zip(gs, pascal[R - p][1:], pascal[R - q][1:])]
                     for v, gs in zip(lifted, sums)
                 ]
-                ws += _binomial_paths(pascal[R + ell], ell, k, 2)
+                ws += _binomial_paths(pascal[R + ell], ell, k)
                 best = _chain_family(ws, q, end, r - q, pascal, best, winners, (q, path))
                 leaves += end - q + 1
             continue
         sums = list(accumulate(lifted))
-        s1 = sum(sums)
-        s2 = sum(accumulate(sums)) if lo <= split else 0  # for pre-leaf children
-        tc, c0, c1 = _shift(total, s0, s1, s2, lo - p)
-        # every child not pushed is a leaf of this node's family ...
-        best = _family(total, tc, c0, lo, last, r, best, winners, path)
-        leaves += last - lo + 1
-        # ... and the children of a pre-leaf child are a family of its own
-        for q in range(lo, split + 1):
+        tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
+        if not p:  # the root's first child puts one part on it
+            tc += total
+            c0 += tc
+            c1 += c0
+        for q in range(first, split + 1):
             end = min((r - q) // 2, r - q - d - 3)
             best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
             leaves += end - q + 1
@@ -246,12 +227,12 @@ def _pascal_up(ws: list[list[int]]) -> None:
         w[1:] = map(add, w[1:], w)
 
 
-def _binomial_paths(row: list[int], ell: int, k: int, level: int) -> list[list[int]]:
+def _binomial_paths(row: list[int], ell: int, k: int) -> list[list[int]]:
     """The family vectors of the sources ell..k-1 that a node with ell
-    lifted vectors has not started, in its family ``level`` levels down,
+    lifted vectors has not started, in the family of one of its children,
     from row = C(R + ell, .) for that family's first leaf: slices of the
-    row shifted right by s - ell + 2 - level (see ``_scan_maxima``)."""
-    return [[0] * (s - ell + 2 - level) + row[: k + ell + level - s] for s in range(ell, k)]
+    row shifted right by s - ell (see ``_scan_maxima``)."""
+    return [[0] * (s - ell) + row[: k + ell + 2 - s] for s in range(ell, k)]
 
 
 def _chain_family(
@@ -285,19 +266,6 @@ def _chain_family(
             best = _keep(value, best, winners, top, (q, path))
         _pascal_up(ws)
     return best
-
-
-def _shift(total: int, s0: int, s1: int, s2: int, m: int) -> tuple[int, int, int]:
-    """The total tc and the sums c0, c1 of the lifted vector and of its
-    prefix sums for the child that extends a lifted vector L by m parts,
-    from L's total and the sums s0, s1, s2 of L, accumulate(L) and
-    accumulate(accumulate(L)), as derived in ``_scan_maxima``."""
-    half = m * (m + 1) // 2
-    return (
-        s0 + m * total,
-        s1 + m * s0 + total * half,
-        s2 + m * s1 + s0 * half + total * half * (m + 2) // 3,
-    )
 
 
 def _family(

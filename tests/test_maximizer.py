@@ -98,12 +98,12 @@ def test_scan_scores_every_leaf_once(k):
         assert _scan_maxima(n, k)[2] == want
 
 
-@pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12)])
+@pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12), (6, 12)])
 def test_scan_scores_every_leaf_exactly(k, top):
-    # a _keep that never raises the best records every leaf the scan scores;
-    # the scan and count_kchains share the Gessel-Viennot matrix, so each
-    # leaf is checked against a route of its own: the bridge column DP at
-    # k = 1, the binomial determinant beyond
+    # a _keep that never raises the best records every leaf the scan scores,
+    # the root's through count_kchains and the rest in closed form; each is
+    # checked against a route of its own: the bridge column DP at k = 1,
+    # the binomial determinant beyond
     keep, scored = maximizer._keep, []
 
     def record(value, best, winners, top, path):
@@ -146,8 +146,8 @@ def _nodes_with_grandchildren(n):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scan_pushes_only_nodes_with_grandchildren(k):
     # one row step (k = 1) or lift (k >= 2) per popped node: the root and
-    # the children with grandchildren; every other node is scored in its
-    # parent or grandparent
+    # the children with grandchildren; every leaf is scored by its
+    # grandparent, the root's own and its children's by count_kchains
     name = "_row_step" if k == 1 else "_lift"
     step, pops = getattr(maximizer, name), []
 
@@ -201,6 +201,8 @@ def test_chain_scan_matches_per_partition_counts(k):
             80989786,
             ((12, 8, 6, 5, 4, 3, 2, 2, 1, 1, 1), (11, 8, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1)),
         ),
+        (20, 5, 341205328, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1))),
+        (18, 6, 654069663, ((7, 4, 3, 2, 1, 1), (6, 4, 3, 2, 1, 1, 1))),
     ],
 )
 def test_chain_maximizers_pinned(n, k, value, maximizers):
