@@ -1,17 +1,21 @@
 """Exact counting of subpartitions, nested chains, and bridge paths.
 
 Everything here is integer-exact (Python arbitrary precision).
-Subpartitions and k-chains are counted by one row DP over part values,
-carried up lam's rows (``_lift``) into its k x k Gessel-Viennot matrix
-(``_chain_matrix``), whose minors ``_leading_minors`` takes; the
-maximizer scan shares ``_lift`` and ``_leading_minors`` but builds its
-matrices in closed form.  A column DP over
-bridge paths below the profile counts subpartitions through a different
-bijection; it and the reference implementations in ``subpart.oracles``
-(among them the column transfer DP over nested height tuples and the
-len(lam) x len(lam) binomial determinant) cross-check the row route.
-Bounds derived from the profile's convex envelope are carried in log
-space.
+Subpartitions and k-chains are counted by one route, ``_weak_chains``:
+lam's k x k Gessel-Viennot matrix (``_chain_matrix``), whose minors
+``_leading_minors`` takes, met in the middle.  A row DP over part values
+carries the source paths up lam's bottom rows (``_lift``), the sink
+weights come down its top rows by suffix sums (``_sinks``), and the two
+meet at the row where the top rows hold half of lam's area (``_cut``),
+so neither half adds integers as wide as the count.  The maximizer scan
+counts its two-row leaves through ``_weak_chains`` and shares ``_lift``
+and ``_leading_minors``, but builds its other matrices in closed form.
+A column DP over bridge paths below the profile counts subpartitions
+through a different bijection; it and the reference implementations in
+``subpart.oracles`` (among them the column transfer DP over nested
+height tuples and the len(lam) x len(lam) binomial determinant)
+cross-check the row route.  Bounds derived from the profile's convex
+envelope are carried in log space.
 """
 
 from __future__ import annotations
@@ -49,11 +53,11 @@ class CountResult:
 
 def count_subpartitions(lam: Partition) -> CountResult:
     """Number of partitions whose diagram fits inside lam (lam and the
-    empty partition included): the row DP of ``_walk`` up to lam's top
-    row, scored as the 1 x 1 ``_chain_matrix``."""
-    (lifted,), p, r = _walk(lam.parts, 1)
+    empty partition included): the 1 x 1 Gessel-Viennot matrix of
+    ``_weak_chains``, the row DP up to the half-area strip joined with
+    the sink weights carried down to it."""
     return CountResult(
-        value=sum(lifted) + (r - p) * lifted[-1],
+        value=_weak_chains(lam.parts, 1)[0],
         method=ROW_DP,
         params={"partition": format_partition(lam)},
     )
@@ -102,23 +106,22 @@ def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
     Weak chains allow equal consecutive elements; strict mode forbids
     equality between consecutive chain elements only (the top containment
     in lam stays weak).  One elimination of lam's k x k Gessel-Viennot
-    matrix (``_chain_matrix``) gives the weak counts of every length up to
+    matrix (``_weak_chains``) gives the weak counts of every length up to
     k, and the strict count comes from them through the run-length
     binomial transform; it can legitimately be zero.
 
     Raises ResourceLimitError, before any DP work, when k^2 times the
-    profile window lam_1 + len(lam) + 1 exceeds ``DEFAULT_STATE_CAP``.
+    profile window lam_1 + len(lam), the one ``parse_partition`` caps (one
+    column for the empty partition), exceeds ``DEFAULT_STATE_CAP``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    width = sum(lam.parts[:1]) + len(lam.parts) + 1
+    width = max(1, sum(lam.parts[:1]) + len(lam.parts))
     if k * k * width > DEFAULT_STATE_CAP:
         raise ResourceLimitError(
-            f"chain count for k={k} over {width} columns exceeds cap {DEFAULT_STATE_CAP}"
+            f"chain count for k={k}: k^2 times the window {width} exceeds cap {DEFAULT_STATE_CAP}"
         )
-    vectors, p, r = _walk(lam.parts, k)
-    cols = [[math.comb(r - x, t) for x in range(1 - k, p + 1)] for t in range(k)]
-    weak = _leading_minors(_chain_matrix(vectors, p, r, cols))
+    weak = _weak_chains(lam.parts, k)
     value = weak[-1]
     if strict:
         value = sum((-1) ** (k - m) * math.comb(k - 1, m - 1) * w for m, w in enumerate(weak, 1))
@@ -129,16 +132,48 @@ def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
     )
 
 
-def _walk(parts: tuple[int, ...], k: int) -> tuple[list[list[int]], int, int]:
-    """Carry ``_lift`` up lam's rows below the top one, from the bottom:
-    the lifted vectors, the part p under the top row and the top row r.
-    The empty partition is one row of length 0."""
+def _weak_chains(parts: tuple[int, ...], k: int) -> list[int]:
+    """The weak m-chain counts below lam, m = 1..k: the leading minors of
+    its Gessel-Viennot matrix, joined at the strip ``_cut`` picks from the
+    row DP below it (``_walk``) and the sink weights above it
+    (``_sinks``).  The empty partition is one row of length 0."""
     parts = parts or (0,)
+    c = _cut(parts, k)
+    vectors, p = _walk(parts[c - 1 :], k)
+    cols, tails = _sinks(parts[:c], p, k)
+    return _leading_minors(_chain_matrix(vectors, cols, tails, parts[0]))
+
+
+# Below this area a count fits a few machine words: the cut saves no work
+# on such narrow integers, and its r-long sink columns cost more than the
+# short closed forms.
+_CUT_AREA = 64
+
+
+def _cut(parts: tuple[int, ...], k: int) -> int:
+    """The strip c, 1 <= c <= max(1, len(lam) - k + 1), at which
+    ``_weak_chains`` joins its two halves: the first row where lam's top
+    rows hold half its area, so both halves carry integers about half as
+    wide as the count; at most len(lam) - k + 1, so every source lies
+    below the cut; and 1 for lam of area below ``_CUT_AREA``."""
+    area = sum(parts)
+    if area < _CUT_AREA:
+        return 1
+    c = next(i for i, top in enumerate(accumulate(parts), 1) if 2 * top >= area)
+    return max(1, min(c, len(parts) - k + 1))
+
+
+def _walk(parts: tuple[int, ...], k: int) -> tuple[list[list[int]], int]:
+    """Carry ``_lift`` up the rows of ``parts`` below the top one, from the
+    bottom: the lifted vectors of the top row's strip and the part p
+    under it."""
     vectors, p = [[0] * (k - 1) + [1]], 0
     for q in reversed(parts[1:]):
-        vectors = [v + [v[-1]] * (q - p) for v in _lift(vectors, p, k)]
+        vectors = _lift(vectors, p, k)
+        for v in vectors:
+            v += [v[-1]] * (q - p)
         p = q
-    return _lift(vectors, p, k), p, parts[0]
+    return _lift(vectors, p, k), p
 
 
 def _lift(vectors: list[list[int]], p: int, k: int) -> list[list[int]]:
@@ -153,12 +188,43 @@ def _lift(vectors: list[list[int]], p: int, k: int) -> list[list[int]]:
     return lifted
 
 
-def _chain_matrix(vectors: list[list[int]], p: int, r: int, cols: list[list[int]]) -> list[list[int]]:
-    """lam's k x k Gessel-Viennot matrix, k = len(cols), from the lifted
-    ``vectors`` of its rows below the top row r, the last of them p, and
-    cols[t][x + k - 1] = C(r - x, t) for 1 - k <= x <= p.  Its leading
-    m x m minor counts the weak m-chains below lam (Gessel and Viennot,
-    Adv. Math. 58, 1985).
+def _sinks(top: tuple[int, ...], p: int, k: int) -> tuple[list[list[int]], list[int]]:
+    """The sink weights at the strip of lam_c, given lam's top c rows
+    ``top``: H_t[x] paths lead from crossing that strip at x to sink t.
+    Returns cols[t][x + k - 1] = H_t[x] for 1 - k <= x <= p and
+    tails[t], the sum of H_t[x] over p < x <= lam_c.
+
+    On lam_1's strip H_t[x] = C(r - x, t), r = lam_1, and by Pascal's
+    rule each t > 0 column is the running sum of the one before it.  When
+    that strip is the cut (c = 1) its columns stop at p, and the tail
+    sums are C(r - p, t + 1), so a one-row lam builds no r-long column;
+    otherwise they start at r.  Below, H_t[x] sums the weights of the
+    strip above over x <= x' <= its part, so each row down is a suffix
+    sum, truncated at that row's part, of a list kept in descending x."""
+    r = top[0]
+    hi = r if len(top) > 1 else p
+    # H_t[x] for x = hi, hi - 1, ..., 1 - k
+    hs = [[1] * (hi + k)]
+    for t in range(1, k):
+        hs.append(list(accumulate(hs[-1][:-1], initial=math.comb(r - hi, t))))
+    if len(top) == 1:
+        return [h[::-1] for h in hs], [math.comb(r - p, t + 1) for t in range(k)]
+    for q in top[1:]:
+        hs = [list(accumulate(h))[hi - q :] for h in hs]
+        hi = q
+    cut = hi - p
+    return [h[cut:][::-1] for h in hs], [sum(h[:cut]) for h in hs]
+
+
+def _chain_matrix(
+    vectors: list[list[int]], cols: list[list[int]], tails: list[int], r: int
+) -> list[list[int]]:
+    """lam's k x k Gessel-Viennot matrix, k = len(cols), r = lam_1,
+    joined at the strip of lam_c (``_cut``): the lifted ``vectors`` of
+    the rows below lam_c, the last of them p, count the paths from the
+    sources up to that strip, and cols and tails (``_sinks``) those from
+    it to the sinks.  Its leading m x m minor counts the weak m-chains
+    below lam (Gessel and Viennot, Adv. Math. 58, 1985).
 
     Put lam_i in the strip i - 1 <= y <= i, l = len(lam).  A partition mu
     with at most l parts is the path of right and down steps from (0, l)
@@ -176,19 +242,23 @@ def _chain_matrix(vectors: list[list[int]], p: int, r: int, cols: list[list[int]
     as det[e(s, t)], e(s, t) the paths in R from source s to sink t.  R
     does not depend on k, so the first m paths give the m x m minor.
 
-    The row DP counts paths strip by strip, from lam_l to lam_1: a
+    The row DP counts paths strip by strip, from lam_l up to lam_c: a
     vector's entry at x counts those crossing the current strip at x, its
     lifted entry those reaching column x below it, and a next strip of
     length q gets ``lifted + [T] * (q - p)``, T the total.  Source s < l
     sits below the strip of lam_{l-s+1}, the s-th part placed, where
-    ``_lift`` starts it.  C(r - x, t) paths lead from crossing the strip
-    of lam_1 at x to sink t, summing to C(r - p, t + 1) over p < x <= r,
-    so e(s, t) = sum_x C(r - x, t) lifted[x] + T C(r - p, t + 1).  A
-    source s >= l starts below lam and meets no boundary:
+    ``_lift`` starts it; c <= l - k + 1 keeps every source below the
+    strip of lam_c.  From above, H_t[x] paths lead from crossing the strip
+    of lam_i at x to sink t: C(r - x, t) at lam_1's strip, and the sum of
+    the strip above's H_t[x'] over x <= x' <= lam_{i-1} at the next, so
+    H_t descends from C(r - x, t) by suffix sums.  So e(s, t) is a dot
+    product at strip c,
+    e(s, t) = sum_{x <= p} lifted_s[x] H_t[x] + T_s sum_{p < x <= lam_c} H_t[x],
+    and at c = 1 the tail sum is C(r - p, t + 1).  A source s >= l, only
+    for k > l and so c = 1, starts below lam and meets no boundary:
     e(s, t) = C(r + l, l - s + t), or 0 when l - s + t < 0.
     """
     k = len(cols)
-    tails = [math.comb(r - p, t + 1) for t in range(k)]
     rows = [
         [sum(map(mul, v, col)) + v[-1] * tail for col, tail in zip(cols, tails)]
         for v in vectors

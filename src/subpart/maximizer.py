@@ -14,9 +14,10 @@ Gessel-Viennot matrices, family by family, from sums it moves from leaf
 to leaf by Pascal's rule (at k = 1, four running sums walked by second
 differences).  So only nodes with grandchildren are pushed, and the
 root's leaf (n) and its children's leaves (n - q, q), which have no
-grandparent, are counted by ``count_kchains``; nothing is materialized
-but the winners.  The scan runs in one process, and ``check_scan``
-refuses an oversized n or k before any of its work.
+grandparent, are counted by ``counting._weak_chains``, the count under
+``count_kchains``; nothing is materialized but the winners.  The scan
+runs in one process, and ``check_scan`` refuses an oversized n or k
+before any of its work.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .counting import (
     _lift,
     _partition_numbers,
     _row_step,
-    count_kchains,
+    _weak_chains,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -93,10 +94,11 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     same kind, visited on its own.
 
     A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
-    the one ``count_kchains`` builds (``counting._chain_matrix``): every
-    node lifts the row-DP vectors of its chain paths (``counting._lift``),
-    starting one more path while it has fewer than k parts, and a child
-    gets them extended by their last entries.  At k = 1 the count is the
+    the one ``counting._chain_matrix`` joins at lam_1's strip (c = 1),
+    with the sink weights C(r - x, t) in closed form: every node lifts the
+    row-DP vectors of its chain paths (``counting._lift``), starting one
+    more path while it has fewer than k parts, and a child gets them
+    extended by their last entries.  At k = 1 the count is the
     subpartition count sum(lifted) + (r - p) T, T the total of the lifted
     vector.
 
@@ -109,7 +111,7 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     node scores for each child with children (first <= q <= split), so
     only the children up to deep are pushed.  The root's leaf (n) and its
     children's leaves (n - q, q), 1 <= q <= min(n // 2, n - 2), have no
-    grandparent, and ``count_kchains`` counts them.
+    grandparent, and ``counting._weak_chains`` counts them.
 
     At k = 1 the node's lifted vector L has total T, and child q lifts
     L + [T] * (q - p).  Write tc, c0 and c1 for the total and sum of child
@@ -154,7 +156,7 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     # grandparent
     best, winners, leaves = 0, [], max(1, min(n // 2, n - 2) + 1)
     for q in range(leaves):
-        value = count_kchains(Partition((n - q, q) if q else (n,)), k).value
+        value = _weak_chains((n - q, q) if q else (n,), k)[-1]
         if value >= best:
             best = _keep(value, best, winners, n - q, (q, None) if q else None)
     # path, the counts of the node's top row (for k > 1 a list of them,
@@ -347,9 +349,10 @@ def check_scan(n: int, k: int, cap: int) -> None:
     below 1 raises ValueError; k^2 (n + 2) past ``DEFAULT_STATE_CAP``, or
     p(n) past cap, raises ResourceLimitError.
 
-    n + 2 columns is the widest profile window over the partitions of n,
-    that of (n), so the first cap is a chain count's own at its widest.  p
-    is increasing, so tabulating it stops at the first value past cap.
+    The widest profile window over the partitions of n is n + 1, that of
+    (n), so the first cap, one column wider, keeps every count the scan
+    makes inside a chain count's own cap.  p is increasing, so tabulating
+    it stops at the first value past cap.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

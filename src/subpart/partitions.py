@@ -17,8 +17,8 @@ from typing import Iterator
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # Largest DP a single count may set up: the profile window lambda_1 +
-# len(lambda) of a parsed partition, and k^2 times the lambda_1 + len(lambda)
-# + 1 columns a k-chain count walks.
+# len(lambda) of a parsed partition, and k^2 times that same window for a
+# k-chain count.
 DEFAULT_STATE_CAP = 1_000_000
 
 

@@ -199,13 +199,25 @@ def test_chain_count_cap_exits_3_upfront(capsys):
         ["maximize", "--n", "6", "--k", "1000"],
         ["table", "--n", "1-6", "--k", "1000"],
         ["shape", "--n", "6", "--k", "1000"],
-        # the boundary: 578^2 * 3 columns is the first past the cap
-        ["count", "1", "--k", "578"],
+        # the boundaries: 708^2 times the window 2 of (1) is the first
+        # count past the cap, and 578^2 * (1 + 2) the first scan
+        ["count", "1", "--k", "708"],
         ["maximize", "--n", "1", "--k", "578"],
     ):
         start = time.perf_counter()
         assert run_cli(capsys, *argv) == (3, "")
         assert time.perf_counter() - start < 1.0, argv
+
+
+def test_one_chain_count_at_the_window_cap(capsys):
+    # (999999) has window 1,000,000, the cap itself: it parses, and its
+    # 1-chain count, weak or strict, is not refused
+    for flags in ([], ["--k", "1"], ["--k", "1", "--strict"]):
+        assert run_cli(capsys, "count", "999999", *flags) == (0, "1000000\n")
+    # (1), window 2, and the empty partition, counted as one column
+    for parts, k in (((1,), 1000), ((), 1001)):
+        with pytest.raises(partitions.ResourceLimitError):
+            counting.count_kchains(partitions.Partition(parts), k)
 
 
 @pytest.mark.parametrize("command", ["count", "bound"])

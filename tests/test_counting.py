@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -172,3 +173,27 @@ def test_count_monotone_in_containment():
             count_subpartitions(Partition(inner)).value
             < count_subpartitions(Partition(outer)).value
         )
+
+
+def test_cut_lies_between_one_and_the_lowest_source_row():
+    for n in range(0, 40, 3):
+        for mu in oracles.partitions_of(n):
+            for k in (1, 2, 3, 6):
+                cut = counting._cut(mu or (0,), k)
+                assert 1 <= cut <= max(1, len(mu) - k + 1), (mu, k)
+    # the half-area row, clamped so that the k sources lie below it
+    assert counting._cut((20, 20, 20, 20, 1, 1), 3) == 3
+    assert counting._cut((20, 20, 20, 20, 1, 1), 5) == 2
+    assert counting._cut((25, 25, 25, 25), 4) == 1
+    # a long top row, or a small area, keeps the closed-form sink weights
+    assert counting._cut((999_999,), 1) == 1
+    assert counting._cut((100, 1, 1, 1), 1) == 1
+    assert counting._cut((9, 5, 2), 1) == 1
+
+
+def test_meet_in_the_middle_on_a_seeded_400_part_partition():
+    rng = random.Random(400)
+    parts = tuple(sorted((rng.randint(1, 400) for _ in range(400)), reverse=True))
+    assert 1 < counting._cut(parts, 1) < len(parts)
+    lam = Partition(parts)
+    assert count_subpartitions(lam).value == count_bridges_below(profile(lam)).value

@@ -7,7 +7,7 @@ form.  Derandomized, so every run draws the same cases."""
 import math
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subpart import maximizer, oracles
@@ -58,6 +58,29 @@ def test_chain_determinant_matches_transfer_dp(parts, k, strict):
 @given(_partitions(20, 20), st.integers(1, 8))
 def test_chain_determinant_matches_binomial_determinant(parts, k):
     assert count_kchains(Partition(parts), k).value == oracles.binomial_chain_count(parts, k)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_partitions(25, 25), st.integers(1, 5), st.booleans())
+# the clamp binds: the half-area row is 3, but the k sources need c <= 2
+@example((20, 20, 20, 20, 1, 1), 5, False)
+@example((20, 20, 20, 20, 1, 1), 5, True)
+# c = 1: by the clamp, with k - len(lam) sources below lam, and by area
+@example((25, 25, 25, 25), 4, True)
+@example((25, 25, 3), 5, False)
+@example((9, 5, 2), 3, True)
+def test_cut_join_matches_binomial_determinant(parts, k, strict):
+    # the matrix joined at the half-area strip, against the len(lam) x
+    # len(lam) determinant, weak and through the strict transform
+    got = count_kchains(Partition(parts), k, strict=strict).value
+    if strict:
+        want = sum(
+            (-1) ** (k - m) * math.comb(k - 1, m - 1) * oracles.binomial_chain_count(parts, m)
+            for m in range(1, k + 1)
+        )
+    else:
+        want = oracles.binomial_chain_count(parts, k)
+    assert got == want
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
