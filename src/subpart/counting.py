@@ -21,6 +21,7 @@ envelope are carried in log space.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
 from operator import mul
@@ -144,22 +145,14 @@ def _weak_chains(parts: tuple[int, ...], k: int) -> list[int]:
     return _leading_minors(_chain_matrix(vectors, cols, tails, parts[0]))
 
 
-# Below this area a count fits a few machine words: the cut saves no work
-# on such narrow integers, and its r-long sink columns cost more than the
-# short closed forms.
-_CUT_AREA = 64
-
-
 def _cut(parts: tuple[int, ...], k: int) -> int:
     """The strip c, 1 <= c <= max(1, len(lam) - k + 1), at which
     ``_weak_chains`` joins its two halves: the first row where lam's top
     rows hold half its area, so both halves carry integers about half as
     wide as the count; at most len(lam) - k + 1, so every source lies
-    below the cut; and 1 for lam of area below ``_CUT_AREA``."""
-    area = sum(parts)
-    if area < _CUT_AREA:
-        return 1
-    c = next(i for i, top in enumerate(accumulate(parts), 1) if 2 * top >= area)
+    below the cut."""
+    tops = list(accumulate(parts))
+    c = bisect_left(tops, (tops[-1] + 1) // 2) + 1
     return max(1, min(c, len(parts) - k + 1))
 
 

@@ -185,10 +185,13 @@ def test_cut_lies_between_one_and_the_lowest_source_row():
     assert counting._cut((20, 20, 20, 20, 1, 1), 3) == 3
     assert counting._cut((20, 20, 20, 20, 1, 1), 5) == 2
     assert counting._cut((25, 25, 25, 25), 4) == 1
-    # a long top row, or a small area, keeps the closed-form sink weights
+    # a top row holding half the area keeps the closed-form sink weights
     assert counting._cut((999_999,), 1) == 1
     assert counting._cut((100, 1, 1, 1), 1) == 1
     assert counting._cut((9, 5, 2), 1) == 1
+    # a small lam is cut at its half-area row too
+    assert counting._cut((3, 3, 3, 3, 3), 2) == 3
+    assert counting._cut((2, 2, 2, 2), 1) == 2
 
 
 def test_meet_in_the_middle_on_a_seeded_400_part_partition():
