@@ -24,7 +24,6 @@ from .partitions import (
     PartitionFormatError,
     ResourceLimitError,
     conjugate,
-    enumerate_partitions,
     format_partition,
     parse_partition,
     profile,
@@ -50,7 +49,6 @@ __all__ = [
     "count_bridges_below",
     "count_kchains",
     "count_subpartitions",
-    "enumerate_partitions",
     "envelope_count_bound",
     "find_maximizers",
     "format_partition",

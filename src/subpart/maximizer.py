@@ -372,14 +372,13 @@ def shape_report(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> Shap
     lam = report.maximizers[0]
     shape = rescale(profile(lam), n)
     env = shape.envelope()
-    curve = VershikCurve()
     return ShapeReport(
         n=n,
         k=k,
         partition=lam,
         profile_shape=shape,
         envelope_shape=env,
-        profile_distance=sup_distance(shape, curve),
-        envelope_distance=sup_distance(env, curve),
+        profile_distance=report.distance_to_vershik,
+        envelope_distance=sup_distance(env, VershikCurve()),
         envelope_functional=shape_functional(env),
     )

@@ -19,22 +19,20 @@ from .envelope import DiscreteFunction
 from .partitions import LatticeProfile, Partition, profile
 
 
-def partitions_of(n):
-    """All partitions of n as weakly decreasing tuples, built from ascending
-    compositions (a different construction from the package's generator)."""
-    if n == 0:
-        return [()]
-    out = []
+def enumerate_partitions(n):
+    """All partitions of n as weakly decreasing tuples, in decreasing
+    lexicographic order: each largest part first, then the partitions of
+    the rest into parts no larger."""
 
-    def grow(remaining, min_part, acc):
+    def descending(remaining, max_part):
         if remaining == 0:
-            out.append(tuple(sorted(acc, reverse=True)))
+            yield ()
             return
-        for p in range(min_part, remaining + 1):
-            grow(remaining - p, p, acc + [p])
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in descending(remaining - part, part):
+                yield (part,) + rest
 
-    grow(n, 1, [])
-    return out
+    return descending(n, n)
 
 
 def diagonal_profile(parts):
@@ -175,7 +173,7 @@ def scan_maximizers(n, k):
     row-DP vectors down a tree of partitions, so this checks the traversal
     (the tree, its pruning and the conjugates added); the count itself is
     pinned by the transfer-DP and binomial-determinant property tests."""
-    counts = {parts: count_kchains(Partition(parts), k).value for parts in partitions_of(n)}
+    counts = {parts: count_kchains(Partition(parts), k).value for parts in enumerate_partitions(n)}
     best = max(counts.values())
     return best, [parts for parts, c in counts.items() if c == best]
 

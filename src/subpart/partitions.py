@@ -27,7 +27,7 @@ class PartitionFormatError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration or DP exceeds its configured cap."""
+    """Raised when a scan, a DP or a parsed partition's window exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -86,31 +86,6 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam.parts)
-
-
-def enumerate_partitions(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Iterator[Partition]:
-    """Yield all partitions of n in decreasing lexicographic order.
-
-    Raises ResourceLimitError once more than ``cap`` partitions have been
-    produced; pass ``cap=None`` to disable the guard.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    produced = 0
-    for parts in _descending_parts(n, n):
-        produced += 1
-        if cap is not None and produced > cap:
-            raise ResourceLimitError(f"enumeration of partitions of {n} exceeded cap {cap}")
-        yield Partition(parts)
-
-
-def _descending_parts(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for part in range(min(remaining, max_part), 0, -1):
-        for rest in _descending_parts(remaining - part, part):
-            yield (part,) + rest
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -35,7 +35,8 @@ from .counting import (
 )
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .maximizer import HR_RATE, find_maximizers, maximizer_report
-from .partitions import Partition, conjugate, enumerate_partitions, profile
+from .oracles import enumerate_partitions
+from .partitions import Partition, conjugate, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
     VershikCurve,
@@ -131,7 +132,7 @@ FULL = VerifyCaps(
 def _all_partitions_upto(n_max: int) -> list[Partition]:
     out: list[Partition] = []
     for n in range(n_max + 1):
-        out.extend(enumerate_partitions(n))
+        out.extend(map(Partition, enumerate_partitions(n)))
     return out
 
 
@@ -194,7 +195,7 @@ def check_enumeration_count(caps: VerifyCaps, rng) -> tuple[bool, str]:
         seen = list(enumerate_partitions(n))
         if len(seen) != partition_count(n).value:
             return False, f"enumeration size wrong at n={n}"
-        if any(a.parts <= b.parts for a, b in zip(seen, seen[1:])):
+        if any(a <= b for a, b in zip(seen, seen[1:])):
             return False, f"order not decreasing lexicographic at n={n}"
     return True, f"n <= {caps.enumeration_n}, order and count"
 
@@ -641,8 +642,7 @@ def check_maximizer_ground_truth(caps: VerifyCaps, rng) -> tuple[bool, str]:
         return False, f"n=4 maximizers {got}, count {report.max_count.value}"
     # cross-check k=2 against the poset brute force
     brute = {
-        lam.parts: oracles.poset_chain_count(lam.parts, 2)
-        for lam in enumerate_partitions(4)
+        parts: oracles.poset_chain_count(parts, 2) for parts in enumerate_partitions(4)
     }
     best = max(brute.values())
     expect = {p for p, v in brute.items() if v == best}

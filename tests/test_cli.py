@@ -240,9 +240,6 @@ def test_jobs_below_one_rejected(command, jobs):
     assert err.value.code == 2
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
-)
 @pytest.mark.parametrize(
     "command", [["maximize", "--n", "3"], ["table", "--n", "3"], ["shape", "--n", "3"]]
 )
@@ -254,6 +251,9 @@ def test_cap_below_one_rejected(command, cap):
     assert err.value.code == 2
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
+)
 def test_count_past_int_text_limit(capsys):
     # C(2200, 1100) has 661 digits: past a lowered limit, as 4,333-digit
     # counts are past the default one
@@ -322,6 +322,7 @@ def test_cli_import_leaves_pool_unloaded():
 MOVED_NAMES = (
     "ConstantsReport",
     "decreasing_lower_convex_envelope",
+    "enumerate_partitions",
     "hardy_ramanujan_exponent",
     "is_subpartition",
     "log_cosh",
@@ -335,7 +336,8 @@ def test_package_import_leaves_oracles_and_verify_unloaded():
     code = (
         "import sys, subpart; "
         "print([m for m in ('subpart.oracles', 'subpart.verify') if m in sys.modules]); "
-        f"print([name for name in {MOVED_NAMES!r} if name in subpart.__all__])"
+        f"print([name for name in {MOVED_NAMES!r} "
+        "if name in subpart.__all__ or hasattr(subpart, name)])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -4,19 +4,14 @@ from unittest import mock
 import pytest
 
 from subpart import maximizer, oracles
-from subpart.counting import count_bridges_below, count_kchains, count_subpartitions
+from subpart.counting import count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
     _scan_maxima,
     find_maximizers,
     shape_report,
 )
-from subpart.partitions import (
-    Partition,
-    ResourceLimitError,
-    enumerate_partitions,
-    profile,
-)
+from subpart.partitions import Partition, ResourceLimitError, profile
 from subpart.ratefn import FUNCTIONAL_MAX
 
 
@@ -40,11 +35,10 @@ def test_maximizers_are_actual_maxima():
     # the streamed scan against the exhaustive route: every partition
     # counted on its own, winners re-counted as bridges below the profile
     for n in range(1, 31):
-        counts = {lam: count_subpartitions(lam).value for lam in enumerate_partitions(n)}
-        best = max(counts.values())
+        best, winners = oracles.scan_maximizers(n, 1)
         report = find_maximizers(n)
         assert report.max_count.value == best
-        assert report.maximizers == tuple(lam for lam, c in counts.items() if c == best)
+        assert report.maximizers == tuple(Partition(p) for p in sorted(winners, reverse=True))
         for lam in report.maximizers:
             assert count_bridges_below(profile(lam)).value == best
 
@@ -94,16 +88,16 @@ def test_scan_scores_every_leaf_once(k):
     # the argmax alone would pass a scan that drops subtrees holding no
     # winner; it scores one leaf per partition with lam_1 >= len(lam)
     for n in range(1, 31):
-        want = sum(1 for lam in oracles.partitions_of(n) if lam[0] >= len(lam))
+        want = sum(1 for lam in oracles.enumerate_partitions(n) if lam[0] >= len(lam))
         assert _scan_maxima(n, k)[2] == want
 
 
 @pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12), (6, 12)])
 def test_scan_scores_every_leaf_exactly(k, top):
     # a _keep that never raises the best records every leaf the scan scores,
-    # the root's through count_kchains and the rest in closed form; each is
-    # checked against a route of its own: the bridge column DP at k = 1,
-    # the binomial determinant beyond
+    # the root's through counting._weak_chains and the rest in closed form;
+    # each is checked against a route of its own: the bridge column DP at
+    # k = 1, the binomial determinant beyond
     keep, scored = maximizer._keep, []
 
     def record(value, best, winners, top, path):
@@ -123,7 +117,7 @@ def test_scan_scores_every_leaf_exactly(k, top):
             _scan_maxima(n, k)
             want = [
                 (lam, independent(lam))
-                for lam in oracles.partitions_of(n)
+                for lam in oracles.enumerate_partitions(n)
                 if lam[0] >= len(lam)
             ]
             assert sorted(scored) == sorted(want)
@@ -147,7 +141,8 @@ def _nodes_with_grandchildren(n):
 def test_scan_pushes_only_nodes_with_grandchildren(k):
     # one row step (k = 1) or lift (k >= 2) per popped node: the root and
     # the children with grandchildren; every leaf is scored by its
-    # grandparent, the root's own and its children's by count_kchains
+    # grandparent, the root's own and its children's by
+    # counting._weak_chains
     name = "_row_step" if k == 1 else "_lift"
     step, pops = getattr(maximizer, name), []
 

@@ -1,12 +1,11 @@
 import pytest
 
+from subpart.counting import partition_count
 from subpart.partitions import (
     LatticeProfile,
     Partition,
     PartitionFormatError,
-    ResourceLimitError,
     conjugate,
-    enumerate_partitions,
     format_partition,
     parse_partition,
     profile,
@@ -48,29 +47,21 @@ def test_parse_rejects_garbage(bad):
 
 def test_enumeration_order_and_count():
     for n in range(1, 13):
-        seen = list(enumerate_partitions(n))
-        assert seen[0] == Partition((n,))
-        assert seen[-1] == Partition((1,) * n)
-        assert [p.parts for p in seen] == sorted(
-            (p.parts for p in seen), reverse=True
-        )
-        assert len(seen) == len(oracles.partitions_of(n))
-        assert all(p.n == n for p in seen)
-    assert list(enumerate_partitions(0)) == [Partition(())]
-
-
-def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_partitions(30, cap=100))
-    # cap=None disables the check
-    assert len(list(enumerate_partitions(12, cap=None))) == 77
+        seen = list(oracles.enumerate_partitions(n))
+        assert seen[0] == (n,)
+        assert seen[-1] == (1,) * n
+        # strictly decreasing lexicographic order, so no partition twice
+        assert all(a > b for a, b in zip(seen, seen[1:]))
+        assert len(seen) == partition_count(n).value
+        assert all(Partition(p).n == n for p in seen)
+    assert list(oracles.enumerate_partitions(0)) == [()]
 
 
 def test_is_subpartition_matches_brute_force():
     lam = Partition((3, 2, 1))
     expected = set(oracles.brute_subpartitions(lam.parts))
     for m in range(0, 7):
-        for mu in oracles.partitions_of(m):
+        for mu in oracles.enumerate_partitions(m):
             assert is_subpartition(Partition(mu), lam) == (mu in expected)
 
 
@@ -86,7 +77,7 @@ def test_conjugate():
     assert conjugate(Partition((4, 2, 1))) == Partition((3, 2, 1, 1))
     assert conjugate(Partition(())) == Partition(())
     for n in range(0, 9):
-        for mu in oracles.partitions_of(n):
+        for mu in oracles.enumerate_partitions(n):
             lam = Partition(mu)
             assert conjugate(conjugate(lam)) == lam
             assert conjugate(lam).n == lam.n
@@ -107,7 +98,7 @@ def test_profile_frozen_cases():
 
 def test_profile_value_and_area():
     for n in range(0, 11):
-        for mu in oracles.partitions_of(n):
+        for mu in oracles.enumerate_partitions(n):
             prof = profile(Partition(mu))
             assert prof.excess_area() == 2 * n
             assert all(d in (-1, 1) for d in prof.increments())
@@ -119,7 +110,7 @@ def test_profile_value_and_area():
 
 def test_profile_conjugation_reflects():
     for n in range(1, 10):
-        for mu in oracles.partitions_of(n):
+        for mu in oracles.enumerate_partitions(n):
             a = profile(Partition(mu))
             b = profile(conjugate(Partition(mu)))
             lo = min(a.lo, b.lo) - 1

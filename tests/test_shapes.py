@@ -70,7 +70,7 @@ def test_envelope_of_shape():
 
 def test_rescale_profiles_have_unit_area():
     for n in range(1, 9):
-        for mu in oracles.partitions_of(n):
+        for mu in oracles.enumerate_partitions(n):
             shape = rescale(profile(Partition(mu)), n)
             assert shape.excess_area() == pytest.approx(1.0, abs=1e-9)
             assert len(shape.kinks) == len(profile(Partition(mu)).heights)
