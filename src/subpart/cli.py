@@ -24,7 +24,7 @@ from .counting import (
 )
 from .maximizer import check_scan, find_maximizers, shape_report
 from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_SCAN_CAP,
     PartitionFormatError,
     ResourceLimitError,
     format_partition,
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
-        help="enumeration cap on p(n)",
+        "--cap", type=_positive_int, default=DEFAULT_SCAN_CAP,
+        help="scan cap on p(n)",
     )
 
     parser = argparse.ArgumentParser(

@@ -8,9 +8,9 @@ carries the source paths up lam's bottom rows (``_lift``), the sink
 weights come down its top rows by suffix sums (``_sinks``), and the two
 meet at the row where the top rows hold half of lam's area (``_cut``),
 so neither half adds integers as wide as the count.  The maximizer scan
-counts the root's one-row leaf (n) and two-row leaves (n - q, q) through
-``_weak_chains`` and shares ``_lift`` and ``_leading_minors``, but builds
-its other matrices in closed form.
+counts the root's one-row leaf (n) through ``_weak_chains`` and shares
+``_lift`` and ``_leading_minors``, but builds its other matrices in
+closed form.
 A column DP over bridge paths below the profile counts subpartitions
 through a different bijection; it and the reference implementations in
 ``subpart.oracles`` (among them the column transfer DP over nested

@@ -1,5 +1,5 @@
-"""Exhaustive search for the partitions maximizing subpartition and chain
-counts, and limit-shape reports for the winners.
+"""Search for the partitions maximizing subpartition and chain counts,
+and limit-shape reports for the winners.
 
 Chain counts are conjugation-invariant, so the scan visits only the
 partitions of n with largest part at least their length, adds the
@@ -12,12 +12,16 @@ leaf is scored by its grandparent: a node scores the leaves of each
 child's children in closed form, as determinants of their k x k
 Gessel-Viennot matrices, family by family, from sums it moves from leaf
 to leaf by Pascal's rule (at k = 1, four running sums walked by second
-differences).  So only nodes with grandchildren are pushed, and the
-root's leaf (n) and its children's leaves (n - q, q), which have no
-grandparent, are counted by ``counting._weak_chains``, the count under
-``count_kchains``; nothing is materialized but the winners.  The scan
-runs in one process, and ``check_scan`` refuses an oversized n or k
-before any of its work.
+differences).  So only nodes with grandchildren are pushed; the root's
+leaf (n), which has no grandparent, is counted by
+``counting._weak_chains``, the count under ``count_kchains``, and its
+children's leaves (n - q, q) are a family of the root.  At k = 1 the scan
+is a branch and bound: a table of upper bounds on what the rows still to
+be placed can contribute (``_bound_table``) lets a node skip each child
+whose subtree cannot reach the best count found so far, and ties are
+never skipped; at k >= 2 every leaf is scored.  Nothing is materialized
+but the winners.  The scan runs in one process, and ``check_scan``
+refuses an oversized n or k before any of its work.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .counting import (
     _weak_chains,
 )
 from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_SCAN_CAP,
     DEFAULT_STATE_CAP,
     Partition,
     ResourceLimitError,
@@ -78,7 +82,8 @@ class ShapeReport:
 def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     """The largest weak k-chain count over the partitions of n, the parts
     of every partition reaching it, in no particular order, and the number
-    of leaves scored, one per partition of n with lam_1 >= len(lam).
+    of leaves scored: at k >= 2 one per partition of n with
+    lam_1 >= len(lam), at k = 1 only those of the subtrees not pruned.
 
     Depth-first over partitions built from the smallest part upward: a
     node has placed d parts up to p with r still to place, its leaf puts
@@ -109,9 +114,10 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     q.  Every leaf is scored by its grandparent: the leaves of child q's
     children, q <= q' <= end with r - q - q' on top, are a family that the
     node scores for each child with children (first <= q <= split), so
-    only the children up to deep are pushed.  The root's leaf (n) and its
-    children's leaves (n - q, q), 1 <= q <= min(n // 2, n - 2), have no
-    grandparent, and ``counting._weak_chains`` counts them.
+    only the children up to deep are pushed.  The root's leaf (n) has no
+    grandparent, and ``counting._weak_chains`` counts it; its children's
+    leaves (n - q, q), 1 <= q <= last = min(n // 2, n - 2), are scored as
+    the family of the root's children, from part 1 (see below).
 
     At k = 1 the node's lifted vector L has total T, and child q lifts
     L + [T] * (q - p).  Write tc, c0 and c1 for the total and sum of child
@@ -125,6 +131,32 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     a step that falls by 3T' a part: 2T' as rest - 2q' shrinks and T' as t
     grows.  Child q's family, with rest = r - q, is thus walked by second
     differences (``_family``) from T' = tc, t = c0 and c = c1 at q' = q.
+    The root's own family has T' = 1, and its leaf q' = 1 lifts
+    [1, 1] to [1, 2]: t = 2 and c = 3.
+
+    So at k = 1 the scan is a branch and bound (Land and Doig,
+    Econometrica 28, 1960).  Child q's row counts grown = L + [T] * (q - p)
+    count at y the fillings of the rows up to q that put y in row q.  Every
+    leaf below the child stacks some nu |- r - q with parts at least q on
+    that row, read from the smallest, nu_1 <= ... <= nu_m, and counts
+    sum_y grown[y] A_nu(y), where A_nu(y) counts the fillings
+    y <= v_1 <= ... <= v_m with v_i <= nu_i.  Splitting off v_1,
+    A_nu(y) = sum_{v=y}^{nu_1} A_nu'(v), nu' the rest of nu, and
+    A_(r)(y) = r - y + 1.  Taking the max over nu inside that sum gives a
+    table B[r][p][y] >= A_nu(y) over every nu |- r with parts at least
+    max(p, 1), 0 <= y <= p <= r // 2 (``_bound_table``):
+    B[r][p][y] = max(r - y + 1, max over max(p, 1) <= q <= r // 2 of
+    sum_{v=y}^{q} B[r - q][q][v]), where B[r - q][q][v] is the one-part
+    r - q - v + 1 once 2q > r - q, as no second part fits.  So
+    sum_y grown[y] B[r - q][q][y] bounds every leaf below child q, and when
+    it is below best the node neither walks the child's family nor pushes
+    it.  The test is strict: every leaf so skipped counts less than best,
+    which only rises, so it is no winner, while a subtree that could tie
+    the best is still scored, and the winners are those of the exhaustive
+    scan.  Children are pushed so that the smallest q is popped first,
+    which raises best early.  At k >= 2 the scan stays exhaustive: the
+    bounds tried there ignore the determinant's cancellation and prune
+    almost nothing.
 
     At k >= 2 child q's lifted vectors V_s end in U_s, and its family puts
     one more part q' on it and leaves top = r - q - q' on top.  The
@@ -146,38 +178,42 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     lifted vectors, has not started is binomial: the paths started at the
     child (vector ones, U = 1) and at the leaf, and the sources below lam
     (as in ``_chain_matrix``), all have w_s[j] = C(R + ell, j - s + ell)
-    (``_binomial_paths``).
+    (``_binomial_paths``).  The root is the child, placing no part, of a
+    node with no lifted vectors, so in the root's family every source is
+    binomial, w_s[j] = C(R, j - s) at R = n - last + 2.
     """
-    # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
-    # pascal[m][j] = C(m, j)
-    binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
-    pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
-    # the root's leaf (n) and its children's leaves (n - q, q) have no
-    # grandparent
-    best, winners, leaves = 0, [], max(1, min(n // 2, n - 2) + 1)
-    for q in range(leaves):
-        value = _weak_chains((n - q, q) if q else (n,), k)[-1]
-        if value >= best:
-            best = _keep(value, best, winners, n - q, (q, None) if q else None)
-    # path, the counts of the node's top row (for k > 1 a list of them,
-    # one per chain path started below it), its largest part, its number
-    # of parts, the rest of n
-    stack = [(None, [[0] * (k - 1) + [1]] if k > 1 else [1], 0, 0, n)]
+    # the root's leaf (n); its children's leaves (n - q, q), q <= last,
+    # are the family of the root's children
+    last = min(n // 2, n - 2)
+    winners = []
+    best, leaves = _keep(_weak_chains((n,), k)[-1], 0, winners, n, None), 1 + max(0, last)
+    if k == 1:
+        best = _family(1, 2, 3, 1, last, n, best, winners, None)
+        bounds = _bound_table(n)
+        stack = [(None, [1], 0, 0, n)]
+    else:
+        # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
+        # pascal[m][j] = C(m, j)
+        binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
+        pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
+        if last > 0:
+            ws = _binomial_paths(pascal[n - last + 2], 0, k)
+            best = _chain_family(ws, 1, last, n, pascal, best, winners, None)
+        stack = [(None, [[0] * (k - 1) + [1]], 0, 0, n)]
+    # a node: its path, the counts of its top row (for k > 1 a list of
+    # them, one per chain path started below it), its largest part, its
+    # number of parts, the rest of n
     while stack:
         path, counts, p, d, r = stack.pop()
-        if k > 1:
-            lifted = _lift(counts, p, k)
-        else:
-            lifted, total = _row_step(counts)
         first = p or 1
         split = min(r // 3, (r - d - 3) // 2)
         deep = min(split, r // 4, (r - d - 4) // 3)
-        for q in range(first, deep + 1):
-            grown = [v + [v[-1]] * (q - p) for v in lifted] if k > 1 else lifted + [total] * (q - p)
-            stack.append(((q, path), grown, q, d + 1, r - q))
         # each child with children, first <= q <= split, brings the family
         # of its children's leaves
         if k > 1:
+            lifted = _lift(counts, p, k)
+            for q in range(first, deep + 1):
+                stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
             # taken from the last, so that R never falls
             ell, sums = len(lifted), None
             for q in range(split, first - 1, -1):
@@ -196,21 +232,53 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
                 best = _chain_family(ws, q, end, r - q, pascal, best, winners, (q, path))
                 leaves += end - q + 1
             continue
+        lifted, total = _row_step(counts)
         sums = list(accumulate(lifted))
         tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
         if not p:  # the root's first child puts one part on it
             tc += total
             c0 += tc
             c1 += c0
+        kids = []
         for q in range(first, split + 1):
-            end = min((r - q) // 2, r - q - d - 3)
-            best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
-            leaves += end - q + 1
+            grown = lifted + [total] * (q - p)
+            # strict, so a subtree that can tie the best is still scored
+            if sum(map(mul, grown, bounds[r - q][q])) >= best:
+                end = min((r - q) // 2, r - q - d - 3)
+                best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
+                leaves += end - q + 1
+                if q <= deep:
+                    kids.append(((q, path), grown, q, d + 1, r - q))
             tc += total
             c0 += tc
             c1 += c0
+        # the smallest q is popped first
+        stack += reversed(kids)
     winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
     return best, winners, leaves
+
+
+def _bound_table(n: int) -> list[list[list[int]]]:
+    """B[r][p][y], 0 <= y <= p <= r // 2, r <= n: an upper bound on
+    A_nu(y), the fillings y <= v_1 <= ... <= v_m with v_i <= nu_i, over
+    every nu |- r with parts at least max(p, 1), read from the smallest
+    (see ``_scan_maxima``).  Row r takes the max over the bottom part q
+    from r // 2 down, so B[r][p] is the running max once q = p, and
+    p = 0 admits the parts p = 1 does."""
+    table = []
+    for r in range(n + 1):
+        # r - y + 1, the fillings of the one-part nu = (r)
+        bound = list(range(r + 1, r - r // 2, -1))
+        rows = []
+        for q in range(r // 2, 0, -1):
+            # B[r - q][q], or the one-part (r - q) where no second part fits
+            above = table[r - q][q] if 3 * q <= r else range(r - q + 1, r - 2 * q, -1)
+            sums = list(accumulate(reversed(above)))
+            bound = list(map(max, sums[::-1], bound))
+            rows.append(bound)
+        rows.append(bound[:1])
+        table.append(rows[::-1])
+    return table
 
 
 def _binomial_sums(lifted: list[list[int]], binomials: list[list[int]], at: int) -> list[list[int]]:
@@ -311,7 +379,7 @@ def _keep(value: int, best: int, winners: list[tuple[int, ...]], top: int, path)
     return value
 
 
-def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> MaximizerReport:
+def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_SCAN_CAP) -> MaximizerReport:
     """Scan the partitions of n and report all maximizers of the weak
     k-chain count (the subpartition count when k = 1).
 
@@ -362,10 +430,10 @@ def check_scan(n: int, k: int, cap: int) -> None:
         raise ResourceLimitError(f"chain scan for k={k}, n={n} exceeds cap {DEFAULT_STATE_CAP}")
     for _, p in zip(range(n + 1), _partition_numbers()):
         if p > cap:
-            raise ResourceLimitError(f"p({n}) exceeds enumeration cap {cap}")
+            raise ResourceLimitError(f"p({n}) exceeds scan cap {cap}")
 
 
-def shape_report(n: int, k: int = 1, cap: int = DEFAULT_ENUMERATION_CAP) -> ShapeReport:
+def shape_report(n: int, k: int = 1, cap: int = DEFAULT_SCAN_CAP) -> ShapeReport:
     """Rescaled profile and convex envelope of the first maximizer, with
     sup-distances to the limit curve and the envelope's functional value."""
     report = find_maximizers(n, k=k, cap=cap)

@@ -15,7 +15,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
+# Largest p(n) for which a maximizer scan of the partitions of n starts.
+DEFAULT_SCAN_CAP = 1_000_000
 # Largest DP a single count may set up: the profile window lambda_1 +
 # len(lambda) of a parsed partition, and k^2 times that same window for a
 # k-chain count.

@@ -1,4 +1,7 @@
 import math
+from functools import lru_cache
+from operator import mul
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -83,10 +86,11 @@ def test_maximizers_have_no_duplicates(k):
         assert len(set(maximizers)) == len(maximizers)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
 def test_scan_scores_every_leaf_once(k):
     # the argmax alone would pass a scan that drops subtrees holding no
-    # winner; it scores one leaf per partition with lam_1 >= len(lam)
+    # winner; at k >= 2 it scores one leaf per partition with
+    # lam_1 >= len(lam) (k = 1: test_bounded_scan_prunes_only_below_the_best)
     for n in range(1, 31):
         want = sum(1 for lam in oracles.enumerate_partitions(n) if lam[0] >= len(lam))
         assert _scan_maxima(n, k)[2] == want
@@ -137,28 +141,127 @@ def _nodes_with_grandchildren(n):
     return found
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
 def test_scan_pushes_only_nodes_with_grandchildren(k):
-    # one row step (k = 1) or lift (k >= 2) per popped node: the root and
-    # the children with grandchildren; every leaf is scored by its
-    # grandparent, the root's own and its children's by
-    # counting._weak_chains
-    name = "_row_step" if k == 1 else "_lift"
-    step, pops = getattr(maximizer, name), []
+    # one lift per popped node: the root and the children with
+    # grandchildren; every leaf is scored by its grandparent, the root's
+    # own by counting._weak_chains and its children's as the root's family
+    # (k = 1 prunes: test_bounded_scan_counts_at_n45)
+    step, pops = maximizer._lift, []
 
     def counted(*args):
         pops.append(args)
         return step(*args)
 
-    with mock.patch.object(maximizer, name, counted):
+    with mock.patch.object(maximizer, "_lift", counted):
         for n in range(1, 31):
             pops.clear()
             _scan_maxima(n, k)
             assert len(pops) == 1 + _nodes_with_grandchildren(n)
-        if k < 3:
+        if k == 2:
             pops.clear()
             assert _scan_maxima(45, k)[2] == 46767
             assert len(pops) == 3204
+
+
+def _row_counts(rows):
+    # the fillings v_1 <= ... <= v_j of the rows, read from the smallest,
+    # with v_i <= rows[i], by the value of v_j
+    counts = [1]
+    for a in rows:
+        counts = [sum(counts[: y + 1]) for y in range(a + 1)]
+    return counts
+
+
+def test_bounded_scan_prunes_only_below_the_best():
+    # every partition of n with lam_1 >= len(lam) is scored once, or some
+    # run of its bottom rows is a node whose bound, over every way to stack
+    # the rest of n on it, is below the final best; the table's bounds are
+    # checked in test_bound_table_is_admissible
+    family, scored = maximizer._family, []
+
+    def walked(total, tc, c0, part, last, rest, best, winners, path):
+        below, link = [], path
+        while link is not None:
+            q, link = link
+            below.append(q)
+        scored.extend((rest - q, q, *below) for q in range(part, last + 1))
+        return family(total, tc, c0, part, last, rest, best, winners, path)
+
+    with mock.patch.object(maximizer, "_family", walked):
+        for n in range(1, 31):
+            scored[:] = [(n,)]  # the root's leaf, through counting._weak_chains
+            best, _, leaves = _scan_maxima(n, 1)
+            bounds = maximizer._bound_table(n)
+            assert len(scored) == len(set(scored)) == leaves
+            kept = set(scored)
+            for lam in oracles.enumerate_partitions(n):
+                if lam[0] < len(lam):
+                    assert lam not in kept
+                    continue
+                if lam in kept:
+                    continue
+                rows = lam[::-1]
+                assert any(
+                    sum(map(mul, _row_counts(rows[:i]), bounds[n - sum(rows[:i])][rows[i - 1]])) < best
+                    for i in range(1, len(rows))
+                    if 2 * rows[i - 1] <= n - sum(rows[:i])
+                ), lam
+
+
+@lru_cache(maxsize=None)
+def _fillings_above(nu, y):
+    # the fillings y <= v_1 <= ... <= v_m with v_i <= nu_i, nu read from
+    # its smallest part
+    if not nu:
+        return 1
+    return sum(_fillings_above(nu[1:], v) for v in range(y, nu[0] + 1))
+
+
+def test_bound_table_is_admissible():
+    # B[r][p][y] is at least the fillings of every nu |- r with parts at
+    # least max(p, 1); the frozen counts say how often it is tight
+    table = maximizer._bound_table(18)
+    tight = loose = 0
+    for r in range(19):
+        assert len(table[r]) == r // 2 + 1
+        nus = [lam[::-1] for lam in oracles.enumerate_partitions(r)]
+        for p, row in enumerate(table[r]):
+            assert len(row) == p + 1
+            for y, bound in enumerate(row):
+                most = max(_fillings_above(nu, y) for nu in nus if not nu or nu[0] >= max(p, 1))
+                assert bound >= most
+                tight += bound == most
+                loose += bound > most
+    assert (tight, loose) == (261, 124)
+
+
+def test_maximizers_pinned_to_n80():
+    # frozen from the exhaustive scan; the bounded scan must find the same
+    # best count and every partition reaching it
+    text = Path(__file__).with_name("maximizers_k1.txt").read_text()
+    lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    assert [int(line[0]) for line in lines] == list(range(1, 81))
+    for n, value, *winners in lines:
+        report = find_maximizers(int(n), cap=20_000_000)
+        assert report.max_count.value == int(value)
+        assert report.maximizers == tuple(
+            Partition(tuple(map(int, w.split(",")))) for w in winners
+        )
+
+
+def test_bounded_scan_counts_at_n45():
+    # one row step per popped node; the exhaustive scan scored 46,767
+    # leaves in 3,204 pops
+    step, pops = maximizer._row_step, []
+
+    def counted(*args):
+        pops.append(args)
+        return step(*args)
+
+    with mock.patch.object(maximizer, "_row_step", counted):
+        assert _scan_maxima(45, 1)[2] == 11056
+    assert len(pops) == 876
 
 
 def test_chain_maximizer_counts_match_direct():
