@@ -21,6 +21,8 @@ DEFAULT_SCAN_CAP = 1_000_000
 # len(lambda) of a parsed partition, and k^2 times that same window for a
 # k-chain count.
 DEFAULT_STATE_CAP = 1_000_000
+# Seed of the randomized checks of `subpart verify` when --seed is not given.
+DEFAULT_SEED = 2718
 
 
 class PartitionFormatError(ValueError):

@@ -3,14 +3,12 @@
 Counts are arbitrary-precision integers and are rendered as decimal
 strings in JSON.  CSV rendering is byte-stable: identical inputs give
 identical bytes whatever produced them, floats written with round-trip
-repr and rows terminated by a bare newline.
+repr and rows terminated by a bare newline.  ``json`` and ``csv`` are
+imported by the function that writes each format, so a command pays for
+loading only the format it prints.
 """
 
 from __future__ import annotations
-
-import csv
-import io
-import json
 
 from .counting import CountResult, EnvelopeBound
 from .maximizer import MaximizerReport, ShapeReport
@@ -28,6 +26,8 @@ MAXIMIZE_COLUMNS = [
 
 
 def to_json(payload) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -72,6 +72,9 @@ def report_row(report: MaximizerReport) -> list[str]:
 
 
 def csv_lines(rows: list[list[str]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

@@ -36,7 +36,7 @@ from .counting import (
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .maximizer import HR_RATE, find_maximizers, maximizer_report
 from .oracles import enumerate_partitions
-from .partitions import Partition, conjugate, profile
+from .partitions import DEFAULT_SEED, Partition, conjugate, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
     VershikCurve,
@@ -45,8 +45,6 @@ from .ratefn import (
     shape_functional,
 )
 from .shapes import PiecewiseLinearShape, rescale
-
-DEFAULT_SEED = 2718
 
 # excess area of log(2 cosh x) over |x|; the square of 1/VERSHIK_BETA
 AREA_CONSTANT = math.pi**2 / 12.0

@@ -120,6 +120,14 @@ def test_table(capsys):
     assert run_cli(capsys, "table", "--n", "9-4")[0] == 2
 
 
+@pytest.mark.parametrize("spec", ["5-", "abc", "1-3,x"])
+def test_table_bad_range_names_the_chunk(capsys, spec):
+    assert cli.main(["table", "--n", spec]) == 2
+    out, err = capsys.readouterr()
+    bad = spec.split(",")[-1]
+    assert (out, err) == ("", f"error: bad n range {bad!r}\n")
+
+
 def test_shape_svg(tmp_path, capsys):
     svg = tmp_path / "probe.svg"
     code, out = run_cli(capsys, "shape", "--n", "6", "--out", str(svg))
@@ -310,11 +318,52 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_cli_import_leaves_pool_unloaded():
-    code = "import sys, subpart.cli; print('multiprocessing' in sys.modules)"
+# modules that only some commands use; the CLI's start-up must not load them
+COMMAND_ONLY_MODULES = (
+    "multiprocessing",
+    "subpart.verify",
+    "subpart.oracles",
+    "subpart.svgplot",
+    "xml.etree.ElementTree",
+    "json",
+)
+
+
+def test_cli_start_up_loads_no_command_only_module():
+    # diffed against a snapshot, so a site hook that loads json is no failure
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import subpart.cli; subpart.cli.build_parser(); "
+        f"print([m for m in {COMMAND_ONLY_MODULES!r} "
+        "if m in sys.modules and m not in before])"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_count_loads_neither_verify_nor_svgplot():
+    code = (
+        "import sys; from subpart import cli; code = cli.main(['count', '4,2,1']); "
+        "print(code, [m for m in ('subpart.verify', 'subpart.svgplot') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "19\n0 []\n"
+
+
+def test_cold_shape_matches_in_process(tmp_path, capsys):
+    svg = tmp_path / "s.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subpart.cli", "shape", "--n", "6", "--out", str(svg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cold = svg.read_bytes()
+    svg.unlink()
+    assert run_cli(capsys, "shape", "--n", "6", "--out", str(svg)) == (0, proc.stdout)
+    assert svg.read_bytes() == cold
 
 
 # library names that only verify and the tests use; they moved beside the
