@@ -366,6 +366,26 @@ def test_cold_shape_matches_in_process(tmp_path, capsys):
     assert svg.read_bytes() == cold
 
 
+def test_forked_count_prints_buffered_stdout_once(tmp_path):
+    # stdout to a file is block-buffered: text written before the count is
+    # still in the buffer when the child forks, and only the parent flushes it
+    n = 700
+    code = (
+        "import os, sys; from subpart import cli; forks, fork = [], os.fork; "
+        "os.fork = lambda: forks.append(1) or fork(); sys.stdout.write('before\\n'); "
+        f"code = cli.main(['count', ','.join(map(str, range({n}, 0, -1)))]); "
+        "print(code, len(forks), file=sys.stderr)"
+    )
+    out = tmp_path / "out.txt"
+    with out.open("w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+    assert (proc.returncode, proc.stderr) == (0, "0 1\n")
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+    assert out.read_text() == f"before\n{catalan}\n"
+
+
 # library names that only verify and the tests use; they moved beside the
 # oracles and out of the package's public surface
 MOVED_NAMES = (

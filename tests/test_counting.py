@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from unittest import mock
 
 import pytest
 
-from subpart import counting, oracles
+from subpart import cli, counting, oracles
 from subpart.counting import (
     BRIDGE_DP,
     PENTAGONAL_ITERATIVE,
@@ -194,3 +198,170 @@ def test_meet_in_the_middle_on_a_seeded_400_part_partition():
     assert 1 < counting._cut(parts, 1) < len(parts)
     lam = Partition(parts)
     assert count_subpartitions(lam).value == count_bridges_below(profile(lam)).value
+
+
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the returned list gains one entry per fork made here."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _open_fds():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_sinks_match_the_in_process_count(monkeypatch):
+    rng = random.Random(19)
+    shapes = [
+        tuple(sorted((rng.randint(1, 12) for _ in range(rng.randint(2, 12))), reverse=True))
+        for _ in range(5)
+    ]
+    # the empty partition, one row, a cut at c = 1, and k > len(lam) for k >= 3
+    shapes += [(), (7,), (100, 1, 1, 1), (2, 1)]
+    cases = [
+        (Partition(parts), k, strict)
+        for parts in shapes
+        for k in (1, 2, 3, 4)
+        for strict in (False, True)
+    ]
+    want = [count_kchains(*case).value for case in cases]
+    fds, forked = _open_fds(), []
+    for cells in (0, 1):
+        monkeypatch.setattr(counting, "FORK_CELLS", cells)
+        forks = _count_forks(monkeypatch)
+        assert [count_kchains(*case).value for case in cases] == want
+        _assert_no_child()
+        forked.append(len(forks))
+    # 0 forks every count; 1 keeps in process the counts with an empty half
+    assert forked[0] == len(cases) > forked[1] > 0
+    assert _open_fds() == fds
+
+
+def test_count_runs_the_sinks_here_when_fork_fails(monkeypatch):
+    lam = Partition(tuple(range(40, 0, -1)))
+    want = count_kchains(lam, 2).value
+    fds = _open_fds()
+    monkeypatch.setattr(counting, "FORK_CELLS", 1)
+
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert count_kchains(lam, 2).value == want
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert count_kchains(lam, 2).value == want
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("fail", ["raise", "signal"])
+def test_count_runs_the_sinks_here_when_the_child_fails(monkeypatch, fail):
+    lam = Partition(tuple(range(40, 0, -1)))
+    want = count_kchains(lam, 3).value
+    parent, sinks, here = os.getpid(), counting._sinks, []
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if fail == "raise":
+                raise MemoryError
+            os.kill(os.getpid(), 9)
+        here.append(args)
+        return sinks(*args)
+
+    monkeypatch.setattr(counting, "FORK_CELLS", 1)
+    monkeypatch.setattr(counting, "_sinks", failing)
+    forks = _count_forks(monkeypatch)
+    assert count_kchains(lam, 3).value == want
+    assert len(forks) == len(here) == 1
+    _assert_no_child()
+
+
+def test_walk_error_propagates_and_leaves_no_child(monkeypatch):
+    lam = Partition(tuple(range(300, 0, -1)))
+    fds, parent, sinks = _open_fds(), os.getpid(), counting._sinks
+
+    def broken(parts, k):
+        raise RuntimeError("walk failed")
+
+    def slow(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed long before this ends
+        return sinks(*args)
+
+    monkeypatch.setattr(counting, "FORK_CELLS", 1)
+    monkeypatch.setattr(counting, "_walk", broken)
+    monkeypatch.setattr(counting, "_sinks", slow)
+    forks = _count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="walk failed"):
+        count_kchains(lam, 1)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_child()
+    assert _open_fds() == fds
+
+
+def test_small_counts_and_scans_never_fork(monkeypatch, capsys):
+    def fork():
+        pytest.fail("forked below FORK_CELLS")
+
+    monkeypatch.setattr(os, "fork", fork)
+    staircase = ",".join(map(str, range(14, 0, -1)))
+    for argv in (["count", "999999"], ["count", staircase, "--k", "6"], ["maximize", "--n", "30"]):
+        assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("1000000\n1618287241389691773168208620000\n")
+
+
+def test_child_exits_when_the_parent_is_killed():
+    # the sinks (about 300 kB of marshal bytes) overfill the pipe, so the
+    # orphaned child's write fails once no reader is left
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("no /proc to read the child's state")
+    code = """if True:
+        import os, random, sys, time
+        from subpart import counting
+        rng = random.Random(7)
+        big = tuple(sorted((rng.randint(1, 2000) for _ in range(2000)), reverse=True))
+        fork = os.fork
+        os.fork = lambda: (pid := fork()) and print(pid, file=sys.stderr, flush=True) or pid
+        counting._walk = lambda parts, k: time.sleep(60)
+        counting._weak_chains(big, 1)
+    """
+    proc = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE, text=True)
+    child = 0
+    try:
+        child = int(proc.stderr.readline())
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while not _exited(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _exited(child)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stderr.close()
+        if child and not _exited(child):
+            os.kill(child, 9)
+
+
+def _exited(pid):
+    """Whether pid is gone or a zombie no one has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
