@@ -9,7 +9,8 @@ weights come down its top rows by suffix sums (``_sinks``), and the two
 meet at the row where the top rows hold half of lam's area (``_cut``),
 so neither half adds integers as wide as the count.  When both halves
 are large the sink half runs in one forked child while the row DP runs
-here; the result is the same without ``os.fork``.  The maximizer scan
+here (``_in_two``, which also runs half of ``verify``'s checks); the
+result is the same without ``os.fork``.  The maximizer scan
 counts the root's one-row leaf (n) through ``_weak_chains`` and shares
 ``_lift`` and ``_leading_minors``, but builds its other matrices in
 closed form.
@@ -30,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .partitions import (
@@ -46,6 +47,9 @@ ROW_DP = "row-dp"
 BRIDGE_DP = "bridge-dp"
 TRANSFER_CHAIN = "transfer-chain"
 PENTAGONAL_ITERATIVE = "pentagonal-iterative"
+
+_A = TypeVar("_A")
+_B = TypeVar("_B")
 
 # The fewest cells (k times the area of their rows) each half of a count
 # must hold before ``_weak_chains`` runs the sink half in a forked child.
@@ -150,7 +154,7 @@ def _weak_chains(parts: tuple[int, ...], k: int) -> list[int]:
 
     The halves need only the cut, so when both hold at least
     ``FORK_CELLS`` cells (k times the area of their rows) the sink half
-    runs in one forked child while this process walks (``_with_sinks``).
+    runs in one forked child while this process walks (``_in_two``).
     Staircases at k = 1, cells per half, medians of 31 alternated runs on
     a shared 2-core host; fork plus transfer costs about 2 ms, and at 400
     the fork won 11/31 in another round:
@@ -170,24 +174,22 @@ def _weak_chains(parts: tuple[int, ...], k: int) -> list[int]:
     p = parts[c] if c < len(parts) else 0
     bottom, top = parts[c - 1 :], parts[:c]
     if k * min(sum(parts[: c - 1]), sum(parts[c:])) >= FORK_CELLS:
-        vectors, (cols, tails) = _with_sinks(bottom, top, p, k)
+        vectors, (cols, tails) = _in_two(lambda: _walk(bottom, k), lambda: _sinks(top, p, k))
     else:
         vectors, (cols, tails) = _walk(bottom, k), _sinks(top, p, k)
     return _leading_minors(_chain_matrix(vectors, cols, tails, parts[0]))
 
 
-def _with_sinks(
-    bottom: tuple[int, ...], top: tuple[int, ...], p: int, k: int
-) -> tuple[list[list[int]], tuple[list[list[int]], list[int]]]:
-    """``_walk(bottom, k)`` and ``_sinks(top, p, k)`` at once, the sinks
-    in one forked child that sends them back through a pipe as marshal
-    bytes and always leaves by ``os._exit``, so it never flushes this
-    process's stdio buffers.  Without ``os.fork``, when the pipe or the
-    fork fails, or when the child does not exit 0, the sinks are computed
-    here, so the result never depends on the child.  The child is reaped
-    before this returns or raises; if the walk raises, it is killed
-    first.  Should this process be killed instead, the child finishes its
-    half and exits when its write to the pipe fails."""
+def _in_two(here: Callable[[], _A], there: Callable[[], _B]) -> tuple[_A, _B]:
+    """``(here(), there())`` at once: ``there()`` runs in one forked child
+    that sends its value, which must be marshal-able, back through a pipe
+    as marshal bytes and always leaves by ``os._exit``, so it never
+    flushes this process's stdio buffers.  Without ``os.fork``, when the
+    pipe or the fork fails, or when the child does not exit 0,
+    ``there()`` runs here, so the result never depends on the child.  The
+    child is reaped before this returns or raises; if ``here()`` raises,
+    it is killed first.  Should this process be killed instead, the child
+    finishes ``there()`` and exits when its write to the pipe fails."""
     fds = ()
     try:
         fds = os.pipe()
@@ -195,21 +197,21 @@ def _with_sinks(
     except (AttributeError, OSError):  # no os.fork on this platform
         for fd in fds:
             os.close(fd)
-        return _walk(bottom, k), _sinks(top, p, k)
+        return here(), there()
     read, write = fds
     if pid == 0:
         status = 1
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(_sinks(top, p, k)))
+                pipe.write(marshal.dumps(there()))
             status = 0
         finally:
             os._exit(status)
     os.close(write)
     try:
         with open(read, "rb") as pipe:
-            vectors = _walk(bottom, k)
+            mine = here()
             data = pipe.read()
     except BaseException:
         os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes
@@ -217,8 +219,8 @@ def _with_sinks(
     finally:
         status = os.waitpid(pid, 0)[1]
     if status:
-        return vectors, _sinks(top, p, k)
-    return vectors, marshal.loads(data)
+        return mine, there()
+    return mine, marshal.loads(data)
 
 
 def _cut(parts: tuple[int, ...], k: int) -> int:

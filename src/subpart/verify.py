@@ -4,7 +4,12 @@ runnable at two effort levels.
 ``fast`` shrinks the exhaustive caps, the trial counts and the range of
 the limit-shape trend so the whole battery finishes in seconds; ``full``
 runs everything at the documented sizes.  Each check returns a CheckResult;
-a check failure never raises, it reports.
+a check failure never raises, it reports.  Each check draws from its own
+seeded RNG and shares no state with another, so ``run_verification`` runs
+the second half of the registry in one forked child while this process
+runs the first, and the results do not depend on where a check ran.
+Spans a tracer records inside the child stay there: per-check seconds
+and pass counts come back with the results, layer timings do not.
 
 The independent routes the counting checks compare against (enumeration,
 the poset chain counter, MacMahon's box product, the memoized pentagonal
@@ -26,6 +31,7 @@ from typing import Callable
 
 from . import oracles, render
 from .counting import (
+    _in_two,
     _partition_numbers,
     count_bridges_below,
     count_kchains,
@@ -790,11 +796,28 @@ CHECKS: list[tuple[str, Callable]] = [
 
 
 def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Every check of the registry, in its order: the first half here, the
+    second in one forked child (``counting._in_two``).  The first half
+    holds ``enumeration-order-and-count`` and ``limit-curve-constants``,
+    so a tracer still sees enumeration and the constants' quadrature."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
     caps = FULL if level == "full" else FAST
+    half = len(CHECKS) // 2
+    first, second = _in_two(
+        lambda: _run_checks(CHECKS[:half], caps, seed),
+        lambda: _run_checks(CHECKS[half:], caps, seed),
+    )
+    return [CheckResult(*result) for result in first + second]
+
+
+def _run_checks(
+    checks: list[tuple[str, Callable]], caps: VerifyCaps, seed: int
+) -> list[tuple[str, bool, str, float]]:
+    """(name, passed, detail, seconds) of each check, plain values that
+    marshal can carry out of a forked child."""
     results = []
-    for name, fn in CHECKS:
+    for name, fn in checks:
         # string seeds hash stably (sha512), unlike hash() under PYTHONHASHSEED
         rng = random.Random(f"{seed}:{name}")
         start = time.perf_counter()
@@ -802,5 +825,5 @@ def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[Chec
             passed, detail = fn(caps, rng)
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+        results.append((name, passed, detail, time.perf_counter() - start))
     return results

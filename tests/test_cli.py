@@ -386,6 +386,27 @@ def test_forked_count_prints_buffered_stdout_once(tmp_path):
     assert out.read_text() == f"before\n{catalan}\n"
 
 
+def test_forked_verify_prints_buffered_stdout_once(tmp_path):
+    # as above: the child runs the second half of the checks and must not
+    # flush the text written before them, nor print a report of its own
+    code = (
+        "import os, sys; from subpart import cli; forks, fork = [], os.fork; "
+        "os.fork = lambda: forks.append(1) or fork(); sys.stdout.write('before\\n'); "
+        "code = cli.main(['verify', '--level', 'fast']); "
+        "print(code, len(forks), file=sys.stderr)"
+    )
+    out = tmp_path / "out.txt"
+    with out.open("w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+    assert (proc.returncode, proc.stderr) == (0, "0 1\n")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "before" and len(lines) == 1 + len(CHECKS) + 1
+    assert [line.split(":")[0] for line in lines[1:-1]] == [f"PASS {name}" for name, _ in CHECKS]
+    assert lines[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed at level fast"
+
+
 # library names that only verify and the tests use; they moved beside the
 # oracles and out of the package's public surface
 MOVED_NAMES = (

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,136 @@ def test_random_shape_generator():
         assert xs == sorted(xs)
         for x, y in shape.kinks:
             assert y >= abs(x) - 1e-12
+
+
+def _outcomes(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the returned list gains one entry per fork made here."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _open_fds():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patch_checks(monkeypatch, replace=None):
+    """Wrap every registry check so it records its name when it runs in
+    this process; ``replace`` maps a name to the check that stands in for
+    it.  Returns the list of names run here, in order."""
+    here, parent, replace = [], os.getpid(), replace or {}
+
+    def wrap(name, fn):
+        def check(caps, rng):
+            if os.getpid() == parent:
+                here.append(name)
+            return fn(caps, rng)
+
+        return check
+
+    patched = [(name, wrap(name, replace.get(name, fn))) for name, fn in CHECKS]
+    monkeypatch.setattr(verify, "CHECKS", patched)
+    return here
+
+
+NAMES = [name for name, _ in CHECKS]
+
+
+@pytest.mark.parametrize("seed", [7, 99, 2718])
+def test_forked_registry_matches_the_in_process_run(monkeypatch, seed):
+    forked = run_verification("fast", seed=seed)
+    assert [r.name for r in forked] == NAMES
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert _outcomes(forked) == _outcomes(run_verification("fast", seed=seed))
+
+
+def test_forked_full_registry_matches_the_in_process_run(monkeypatch, full_run):
+    monkeypatch.delattr(os, "fork")
+    here = run_verification("full")
+    assert [r.name for r in here] == NAMES
+    assert _outcomes(full_run.values()) == _outcomes(here)
+
+
+def test_verify_forks_once_and_runs_the_first_half_here(monkeypatch):
+    fds = _open_fds()
+    here = _patch_checks(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    results = run_verification("fast", seed=7)
+    assert [r.name for r in results] == NAMES and all(r.passed for r in results)
+    assert len(forks) == 1
+    # the traced verify smoke reads layers that only these two checks feed
+    assert here == NAMES[:16]
+    assert {"enumeration-order-and-count", "limit-curve-constants"} <= set(here)
+    _assert_no_child()
+    assert _open_fds() == fds
+
+
+def test_checks_run_here_when_fork_fails(monkeypatch):
+    want = _outcomes(run_verification("fast", seed=7))
+    fds = _open_fds()
+
+    def refused():
+        raise OSError("fork refused")
+
+    here = _patch_checks(monkeypatch)
+    monkeypatch.setattr(os, "fork", refused)
+    assert _outcomes(run_verification("fast", seed=7)) == want
+    assert here == NAMES
+    assert _open_fds() == fds
+
+
+def test_second_half_reruns_here_when_the_child_dies(monkeypatch):
+    want = _outcomes(run_verification("fast", seed=7))
+    name = NAMES[20]
+    check, parent = dict(CHECKS)[name], os.getpid()
+
+    def dying(caps, rng):
+        if os.getpid() != parent:
+            os._exit(1)
+        return check(caps, rng)
+
+    here = _patch_checks(monkeypatch, {name: dying})
+    forks = _count_forks(monkeypatch)
+    assert _outcomes(run_verification("fast", seed=7)) == want
+    assert len(forks) == 1
+    assert here == NAMES
+    _assert_no_child()
+
+
+def test_interrupt_in_the_first_half_propagates_and_leaves_no_child(monkeypatch):
+    fds, parent = _open_fds(), os.getpid()
+    slow_check = dict(CHECKS)[NAMES[16]]
+
+    def interrupted(caps, rng):
+        raise KeyboardInterrupt
+
+    def slow(caps, rng):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed long before this ends
+        return slow_check(caps, rng)
+
+    _patch_checks(monkeypatch, {NAMES[3]: interrupted, NAMES[16]: slow})
+    forks = _count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_verification("fast", seed=7)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_child()
+    assert _open_fds() == fds
