@@ -4,8 +4,9 @@ Commands: count, pn, bound, maximize, table, shape, verify.  Each command
 accepts only the flags its handler reads: every command takes --format and
 --out (shape and verify render only text and json); the scans (maximize,
 table, shape) add --cap, and --jobs, parsed but without effect; verify adds
---level and --seed.  ``verify`` and ``svgplot`` are imported only when
-their command runs.
+--level and --seed.  Each handler builds its result's JSON payload, CSV
+rows and text, and ``render.document`` picks the one --format asks for.
+``verify`` and ``svgplot`` are imported only when their command runs.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """
@@ -17,12 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from . import render
-from .counting import (
-    count_kchains,
-    count_subpartitions,
-    envelope_count_bound,
-    partition_count,
-)
+from .counting import count_kchains, count_subpartitions, envelope_count_bound, partition_count
 from .maximizer import check_scan, find_maximizers, shape_report
 from .partitions import (
     DEFAULT_SCAN_CAP,
@@ -39,13 +35,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except PartitionFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # PartitionFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -168,68 +161,42 @@ def cmd_count(args) -> int:
     # a count inside the caps can pass the limit (the 7200 x 7200 square
     # has 4,333 digits); the other commands' values stay far below it
     with _all_digits():
-        if args.format == "json":
-            _emit(render.to_json(render.count_payload(result)), args)
-        elif args.format == "csv":
-            _emit(
-                render.csv_lines(
-                    [
-                        ["partition", "k", "strict", "value", "method"],
-                        [
-                            format_partition(lam),
-                            str(args.k),
-                            str(args.strict).lower(),
-                            str(result.value),
-                            result.method,
-                        ],
-                    ]
-                ),
-                args,
-            )
-        else:
-            _emit(f"{result.value}\n", args)
+        value = str(result.value)
+        rows = [
+            ["partition", "k", "strict", "value", "method"],
+            [format_partition(lam), str(args.k), str(args.strict).lower(), value, result.method],
+        ]
+        payload = render.count_payload(result)
+        _emit(render.document(args.format, payload, rows, f"{value}\n"), args)
     return 0
 
 
 def cmd_pn(args) -> int:
     result = partition_count(args.n)
-    if args.format == "json":
-        _emit(render.to_json(render.count_payload(result)), args)
-    elif args.format == "csv":
-        _emit(render.csv_lines([["n", "value"], [str(args.n), str(result.value)]]), args)
-    else:
-        _emit(f"{result.value}\n", args)
+    rows = [["n", "value"], [str(args.n), str(result.value)]]
+    payload = render.count_payload(result)
+    _emit(render.document(args.format, payload, rows, f"{result.value}\n"), args)
     return 0
 
 
 def cmd_bound(args) -> int:
     lam = parse_partition(args.partition)
+    lam_text = format_partition(lam)
     bound = envelope_count_bound(profile(lam))
-    if args.format == "json":
-        _emit(render.to_json(render.bound_payload(format_partition(lam), bound)), args)
-    elif args.format == "csv":
-        _emit(
-            render.csv_lines(
-                [
-                    ["partition", "log_bound", "bound"],
-                    [format_partition(lam), repr(bound.log_value), repr(bound.value)],
-                ]
-            ),
-            args,
-        )
-    else:
-        _emit(f"log_bound {bound.log_value!r}\nbound {bound.value!r}\n", args)
+    rows = [
+        ["partition", "log_bound", "bound"],
+        [lam_text, repr(bound.log_value), repr(bound.value)],
+    ]
+    text = f"log_bound {bound.log_value!r}\nbound {bound.value!r}\n"
+    _emit(render.document(args.format, render.bound_payload(lam_text, bound), rows, text), args)
     return 0
 
 
 def cmd_maximize(args) -> int:
     report = find_maximizers(args.n, args.k, cap=args.cap)
-    if args.format == "json":
-        _emit(render.to_json(render.report_payload(report)), args)
-    elif args.format == "csv":
-        _emit(render.reports_csv([report]), args)
-    else:
-        _emit(render.report_text(report), args)
+    rows = [render.MAXIMIZE_COLUMNS, render.report_row(report)]
+    payload = render.report_payload(report)
+    _emit(render.document(args.format, payload, rows, render.report_text(report)), args)
     return 0
 
 
@@ -261,18 +228,13 @@ def cmd_table(args) -> int:
     check_scan(min(r[0] for r in ranges), args.k, args.cap)
     check_scan(max(r[-1] for r in ranges), args.k, args.cap)
     reports = [find_maximizers(n, args.k, cap=args.cap) for r in ranges for n in r]
-    if args.format == "json":
-        _emit(render.to_json([render.report_payload(r) for r in reports]), args)
-    elif args.format == "csv":
-        _emit(render.reports_csv(reports), args)
-    else:
-        rows = [render.MAXIMIZE_COLUMNS] + [render.report_row(r) for r in reports]
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        lines = [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows
-        ]
-        _emit("\n".join(lines) + "\n", args)
+    rows = [render.MAXIMIZE_COLUMNS] + [render.report_row(r) for r in reports]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    text = "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
+    payload = [render.report_payload(r) for r in reports]
+    _emit(render.document(args.format, payload, rows, text), args)
     return 0
 
 
@@ -294,39 +256,29 @@ def cmd_shape(args) -> int:
     report = shape_report(args.n, args.k, cap=args.cap)
     svg_path = args.out or f"shape-n{args.n}-k{args.k}.svg"
     write_shape_svg(report, svg_path)
-    if args.format == "json":
-        sys.stdout.write(render.to_json(render.shape_payload(report, svg_path)))
-    else:
-        from .svgplot import format_caption
+    from .svgplot import format_caption
 
-        sys.stdout.write(f"{svg_path}\n{format_caption(report)}\n")
+    payload = render.shape_payload(report, svg_path)
+    text = f"{svg_path}\n{format_caption(report)}\n"
+    # --out names the SVG, so the report always goes to stdout
+    sys.stdout.write(render.document(args.format, payload, None, text))
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_verification(level=args.level, seed=args.seed)
-    if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in results
-        ]
-        _emit(render.to_json(payload), args)
-    else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} ({r.seconds:.2f}s)"
-            for r in results
-        ]
-        failed = sum(1 for r in results if not r.passed)
-        lines.append(
-            f"{len(results) - failed}/{len(results)} checks passed at level {args.level}"
-        )
-        _emit("\n".join(lines) + "\n", args)
-    return 0 if all(r.passed for r in results) else 1
+    payload = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 3)}
+        for r in results
+    ]
+    passed = sum(r.passed for r in results)
+    text = "".join(
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} ({r.seconds:.2f}s)\n"
+        for r in results
+    )
+    text += f"{passed}/{len(results)} checks passed at level {args.level}\n"
+    _emit(render.document(args.format, payload, None, text), args)
+    return 0 if passed == len(results) else 1
 
 
 if __name__ == "__main__":

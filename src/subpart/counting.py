@@ -9,11 +9,10 @@ weights come down its top rows by suffix sums (``_sinks``), and the two
 meet at the row where the top rows hold half of lam's area (``_cut``),
 so neither half adds integers as wide as the count.  When both halves
 are large the sink half runs in one forked child while the row DP runs
-here (``_in_two``, which also runs half of ``verify``'s checks); the
-result is the same without ``os.fork``.  The maximizer scan
-counts the root's one-row leaf (n) through ``_weak_chains`` and shares
-``_lift`` and ``_leading_minors``, but builds its other matrices in
-closed form.
+here (``_in_two``, which also runs half of ``verify``'s checks); without
+``os.fork``, or with other threads running, both halves run here, and
+the result is the same.  The maximizer scan shares ``_lift`` and
+``_leading_minors`` but builds its own matrices in closed form.
 A column DP over bridge paths below the profile counts subpartitions
 through a different bijection; it and the reference implementations in
 ``subpart.oracles`` (among them the column transfer DP over nested
@@ -27,6 +26,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
@@ -184,12 +184,18 @@ def _in_two(here: Callable[[], _A], there: Callable[[], _B]) -> tuple[_A, _B]:
     """``(here(), there())`` at once: ``there()`` runs in one forked child
     that sends its value, which must be marshal-able, back through a pipe
     as marshal bytes and always leaves by ``os._exit``, so it never
-    flushes this process's stdio buffers.  Without ``os.fork``, when the
-    pipe or the fork fails, or when the child does not exit 0,
+    flushes this process's stdio buffers.  Without ``os.fork``, in a
+    process running more than one thread (the child gets a copy of locks
+    that other threads may hold, and Python 3.12+ warns of the fork), when
+    the pipe or the fork fails, or when the child does not exit 0,
     ``there()`` runs here, so the result never depends on the child.  The
     child is reaped before this returns or raises; if ``here()`` raises,
     it is killed first.  Should this process be killed instead, the child
     finishes ``there()`` and exits when its write to the pipe fails."""
+    # a process that never imported threading started no thread through it
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return here(), there()
     fds = ()
     try:
         fds = os.pipe()

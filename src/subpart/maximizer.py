@@ -13,15 +13,14 @@ child's children in closed form, as determinants of their k x k
 Gessel-Viennot matrices, family by family, from sums it moves from leaf
 to leaf by Pascal's rule (at k = 1, four running sums walked by second
 differences).  So only nodes with grandchildren are pushed; the root's
-leaf (n), which has no grandparent, is counted by
-``counting._weak_chains``, the count under ``count_kchains``, and its
-children's leaves (n - q, q) are a family of the root.  At k = 1 the scan
-is a branch and bound: a table of upper bounds on what the rows still to
-be placed can contribute (``_bound_table``) lets a node skip each child
-whose subtree cannot reach the best count found so far, and ties are
-never skipped; at k >= 2 every leaf is scored.  Nothing is materialized
-but the winners.  The scan runs in one process, and ``check_scan``
-refuses an oversized n or k before any of its work.
+leaf (n), which has no grandparent, counts C(n + k, k) in closed form,
+and its children's leaves (n - q, q) are a family of the root.  At k = 1
+the scan is a branch and bound: a table of upper bounds on what the rows
+still to be placed can contribute (``_bound_table``) lets a node skip
+each child whose subtree cannot reach the best count found so far, and
+ties are never skipped; at k >= 2 every leaf is scored.  Nothing is
+materialized but the winners.  The scan runs in one process, and
+``check_scan`` refuses an oversized n or k before any of its work.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .counting import (
     _lift,
     _partition_numbers,
     _row_step,
-    _weak_chains,
 )
 from .partitions import (
     DEFAULT_SCAN_CAP,
@@ -115,9 +113,10 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     children, q <= q' <= end with r - q - q' on top, are a family that the
     node scores for each child with children (first <= q <= split), so
     only the children up to deep are pushed.  The root's leaf (n) has no
-    grandparent, and ``counting._weak_chains`` counts it; its children's
-    leaves (n - q, q), 1 <= q <= last = min(n // 2, n - 2), are scored as
-    the family of the root's children, from part 1 (see below).
+    grandparent; its weak k-chains are the multisets of k values from
+    0..n, C(n + k, k) of them.  Its children's leaves (n - q, q),
+    1 <= q <= last = min(n // 2, n - 2), are scored as the family of the
+    root's children, from part 1 (see below).
 
     At k = 1 the node's lifted vector L has total T, and child q lifts
     L + [T] * (q - p).  Write tc, c0 and c1 for the total and sum of child
@@ -186,7 +185,7 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     # are the family of the root's children
     last = min(n // 2, n - 2)
     winners = []
-    best, leaves = _keep(_weak_chains((n,), k)[-1], 0, winners, n, None), 1 + max(0, last)
+    best, leaves = _keep(math.comb(n + k, k), 0, winners, n, None), 1 + max(0, last)
     if k == 1:
         best = _family(1, 2, 3, 1, last, n, best, winners, None)
         bounds = _bound_table(n)

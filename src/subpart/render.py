@@ -1,5 +1,7 @@
 """Serialization of results to text, JSON, and CSV.
 
+``document`` is the one place that picks an output format: every command
+hands it the JSON payload, the CSV rows and the text of its result.
 Counts are arbitrary-precision integers and are rendered as decimal
 strings in JSON.  CSV rendering is byte-stable: identical inputs give
 identical bytes whatever produced them, floats written with round-trip
@@ -23,6 +25,16 @@ MAXIMIZE_COLUMNS = [
     "hr_reference",
     "distance_to_vershik",
 ]
+
+
+def document(fmt: str, payload, rows: list[list[str]] | None, text: str) -> str:
+    """The output of one command in format ``fmt``: its payload as JSON,
+    its rows as CSV, or its text for ``text``."""
+    if fmt == "json":
+        return to_json(payload)
+    if fmt == "csv":
+        return csv_lines(rows)
+    return text
 
 
 def to_json(payload) -> str:

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +23,22 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# golden_cli.txt holds the exact stdout of each command in each format:
+# a "$ <argv>" line, then that invocation's output up to the next "$ " line.
+# verify's per-check seconds vary from run to run and are written as 0.
+GOLDEN = (Path(__file__).parent / "golden_cli.txt").read_text()
+GOLDEN_CASES = [tuple(chunk.split("\n", 1)) for chunk in re.split(r"^\$ ", GOLDEN, flags=re.M)[1:]]
+
+
+@pytest.mark.parametrize("command, expected", GOLDEN_CASES, ids=[c for c, _ in GOLDEN_CASES])
+def test_output_matches_golden_bytes(command, expected, capsys, monkeypatch, tmp_path):
+    # shape writes its SVG beside the default path that its output names
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert re.sub(r'"seconds": [0-9.e+-]+', '"seconds": 0', out) == expected
 
 
 def test_count_text(capsys):
@@ -326,6 +345,7 @@ COMMAND_ONLY_MODULES = (
     "subpart.svgplot",
     "xml.etree.ElementTree",
     "json",
+    "threading",
 )
 
 

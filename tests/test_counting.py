@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from forks import assert_no_child, count_forks, live_thread, open_fds
 from subpart import cli, counting, oracles
 from subpart.counting import (
     BRIDGE_DP,
@@ -200,29 +201,6 @@ def test_meet_in_the_middle_on_a_seeded_400_part_partition():
     assert count_subpartitions(lam).value == count_bridges_below(profile(lam)).value
 
 
-def _count_forks(monkeypatch):
-    """Wrap os.fork; the returned list gains one entry per fork made here."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _open_fds():
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("no /proc/self/fd to count open descriptors")
-    return len(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_forked_sinks_match_the_in_process_count(monkeypatch):
     rng = random.Random(19)
     shapes = [
@@ -238,22 +216,37 @@ def test_forked_sinks_match_the_in_process_count(monkeypatch):
         for strict in (False, True)
     ]
     want = [count_kchains(*case).value for case in cases]
-    fds, forked = _open_fds(), []
+    fds, forked = open_fds(), []
     for cells in (0, 1):
         monkeypatch.setattr(counting, "FORK_CELLS", cells)
-        forks = _count_forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         assert [count_kchains(*case).value for case in cases] == want
-        _assert_no_child()
+        assert_no_child()
         forked.append(len(forks))
     # 0 forks every count; 1 keeps in process the counts with an empty half
     assert forked[0] == len(cases) > forked[1] > 0
-    assert _open_fds() == fds
+    assert open_fds() == fds
+
+
+def test_count_makes_no_fork_while_another_thread_runs(monkeypatch):
+    lam = Partition(tuple(range(40, 0, -1)))
+    cases = [(lam, k, strict) for k in (1, 2, 3) for strict in (False, True)]
+    want = [count_kchains(*case).value for case in cases]
+    monkeypatch.setattr(counting, "FORK_CELLS", 1)
+    forks = count_forks(monkeypatch)
+    with live_thread():
+        assert [count_kchains(*case).value for case in cases] == want
+    assert forks == []
+    # the same count forks once the other thread has ended
+    assert count_kchains(lam, 1).value == want[0]
+    assert len(forks) == 1
+    assert_no_child()
 
 
 def test_count_runs_the_sinks_here_when_fork_fails(monkeypatch):
     lam = Partition(tuple(range(40, 0, -1)))
     want = count_kchains(lam, 2).value
-    fds = _open_fds()
+    fds = open_fds()
     monkeypatch.setattr(counting, "FORK_CELLS", 1)
 
     def refused():
@@ -263,7 +256,7 @@ def test_count_runs_the_sinks_here_when_fork_fails(monkeypatch):
     assert count_kchains(lam, 2).value == want
     monkeypatch.delattr(os, "fork")  # a platform without fork
     assert count_kchains(lam, 2).value == want
-    assert _open_fds() == fds
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("fail", ["raise", "signal"])
@@ -282,15 +275,15 @@ def test_count_runs_the_sinks_here_when_the_child_fails(monkeypatch, fail):
 
     monkeypatch.setattr(counting, "FORK_CELLS", 1)
     monkeypatch.setattr(counting, "_sinks", failing)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     assert count_kchains(lam, 3).value == want
     assert len(forks) == len(here) == 1
-    _assert_no_child()
+    assert_no_child()
 
 
 def test_walk_error_propagates_and_leaves_no_child(monkeypatch):
     lam = Partition(tuple(range(300, 0, -1)))
-    fds, parent, sinks = _open_fds(), os.getpid(), counting._sinks
+    fds, parent, sinks = open_fds(), os.getpid(), counting._sinks
 
     def broken(parts, k):
         raise RuntimeError("walk failed")
@@ -303,14 +296,14 @@ def test_walk_error_propagates_and_leaves_no_child(monkeypatch):
     monkeypatch.setattr(counting, "FORK_CELLS", 1)
     monkeypatch.setattr(counting, "_walk", broken)
     monkeypatch.setattr(counting, "_sinks", slow)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="walk failed"):
         count_kchains(lam, 1)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
-    _assert_no_child()
-    assert _open_fds() == fds
+    assert_no_child()
+    assert open_fds() == fds
 
 
 def test_small_counts_and_scans_never_fork(monkeypatch, capsys):

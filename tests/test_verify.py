@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from forks import assert_no_child, count_forks, live_thread, open_fds
 from subpart import verify
 from subpart.verify import CHECKS, FAST, FULL, random_shape, run_verification
 
@@ -95,29 +96,6 @@ def _outcomes(results):
     return [(r.name, r.passed, r.detail) for r in results]
 
 
-def _count_forks(monkeypatch):
-    """Wrap os.fork; the returned list gains one entry per fork made here."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _open_fds():
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("no /proc/self/fd to count open descriptors")
-    return len(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _patch_checks(monkeypatch, replace=None):
     """Wrap every registry check so it records its name when it runs in
     this process; ``replace`` maps a name to the check that stands in for
@@ -156,22 +134,32 @@ def test_forked_full_registry_matches_the_in_process_run(monkeypatch, full_run):
 
 
 def test_verify_forks_once_and_runs_the_first_half_here(monkeypatch):
-    fds = _open_fds()
+    fds = open_fds()
     here = _patch_checks(monkeypatch)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     results = run_verification("fast", seed=7)
     assert [r.name for r in results] == NAMES and all(r.passed for r in results)
     assert len(forks) == 1
     # the traced verify smoke reads layers that only these two checks feed
     assert here == NAMES[:16]
     assert {"enumeration-order-and-count", "limit-curve-constants"} <= set(here)
-    _assert_no_child()
-    assert _open_fds() == fds
+    assert_no_child()
+    assert open_fds() == fds
+
+
+def test_checks_run_here_while_another_thread_runs(monkeypatch):
+    want = _outcomes(run_verification("fast", seed=7))
+    here = _patch_checks(monkeypatch)
+    forks = count_forks(monkeypatch)
+    with live_thread():
+        assert _outcomes(run_verification("fast", seed=7)) == want
+    assert forks == []
+    assert here == NAMES
 
 
 def test_checks_run_here_when_fork_fails(monkeypatch):
     want = _outcomes(run_verification("fast", seed=7))
-    fds = _open_fds()
+    fds = open_fds()
 
     def refused():
         raise OSError("fork refused")
@@ -180,7 +168,7 @@ def test_checks_run_here_when_fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", refused)
     assert _outcomes(run_verification("fast", seed=7)) == want
     assert here == NAMES
-    assert _open_fds() == fds
+    assert open_fds() == fds
 
 
 def test_second_half_reruns_here_when_the_child_dies(monkeypatch):
@@ -194,15 +182,15 @@ def test_second_half_reruns_here_when_the_child_dies(monkeypatch):
         return check(caps, rng)
 
     here = _patch_checks(monkeypatch, {name: dying})
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     assert _outcomes(run_verification("fast", seed=7)) == want
     assert len(forks) == 1
     assert here == NAMES
-    _assert_no_child()
+    assert_no_child()
 
 
 def test_interrupt_in_the_first_half_propagates_and_leaves_no_child(monkeypatch):
-    fds, parent = _open_fds(), os.getpid()
+    fds, parent = open_fds(), os.getpid()
     slow_check = dict(CHECKS)[NAMES[16]]
 
     def interrupted(caps, rng):
@@ -214,11 +202,11 @@ def test_interrupt_in_the_first_half_propagates_and_leaves_no_child(monkeypatch)
         return slow_check(caps, rng)
 
     _patch_checks(monkeypatch, {NAMES[3]: interrupted, NAMES[16]: slow})
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_verification("fast", seed=7)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
-    _assert_no_child()
-    assert _open_fds() == fds
+    assert_no_child()
+    assert open_fds() == fds
