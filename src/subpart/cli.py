@@ -6,7 +6,10 @@ accepts only the flags its handler reads: every command takes --format and
 table, shape) add --cap, and --jobs, parsed but without effect; verify adds
 --level and --seed.  Each handler builds its result's JSON payload, CSV
 rows and text, and ``render.document`` picks the one --format asks for.
-``verify`` and ``svgplot`` are imported only when their command runs.
+Start-up loads only ``render``, ``counting`` and what they import:
+``maximizer`` (with ``shapes`` and ``ratefn``) is imported by the first
+scan, ``verify`` and ``svgplot`` only when their command runs, each
+through a module-level forwarder below.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """
@@ -19,7 +22,6 @@ from contextlib import contextmanager
 
 from . import render
 from .counting import count_kchains, count_subpartitions, envelope_count_bound, partition_count
-from .maximizer import check_scan, find_maximizers, shape_report
 from .partitions import (
     DEFAULT_SCAN_CAP,
     DEFAULT_SEED,
@@ -238,8 +240,27 @@ def cmd_table(args) -> int:
     return 0
 
 
-# The two forwarders below stay module-level names so that callers (and
-# perfbench/tracing.py, which wraps them by name) find them in this module.
+# The forwarders below import the module that does the work on first call.
+# They stay module-level names so that callers (and perfbench/tracing.py,
+# which wraps some of them by name) find them in this module.
+def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_SCAN_CAP):
+    from .maximizer import _find_maximizers
+
+    return _find_maximizers(n, k, cap)
+
+
+def check_scan(n: int, k: int, cap: int) -> None:
+    from .maximizer import check_scan
+
+    check_scan(n, k, cap)
+
+
+def shape_report(n: int, k: int = 1, cap: int = DEFAULT_SCAN_CAP):
+    from .maximizer import shape_report
+
+    return shape_report(n, k, cap)
+
+
 def write_shape_svg(report, path: str) -> None:
     from .svgplot import write_shape_svg
 

@@ -28,7 +28,6 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
 from operator import mul
 from typing import Callable, Iterator, TypeVar
@@ -38,10 +37,10 @@ from .partitions import (
     DEFAULT_STATE_CAP,
     LatticeProfile,
     Partition,
+    Record,
     ResourceLimitError,
     format_partition,
 )
-from .ratefn import growth_rate
 
 ROW_DP = "row-dp"
 BRIDGE_DP = "bridge-dp"
@@ -56,13 +55,19 @@ _B = TypeVar("_B")
 FORK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """An exact count plus the algorithm and parameters that produced it."""
+class CountResult(Record):
+    """An exact count plus the algorithm and parameters that produced it;
+    equality and the hash leave ``params`` out."""
 
     value: int
     method: str
-    params: dict[str, object] = field(default_factory=dict, compare=False)
+    params: dict[str, object]
+
+    def __init__(self, value: int, method: str, params: dict[str, object] | None = None) -> None:
+        self.__dict__.update(value=value, method=method, params={} if params is None else params)
+
+    def _key(self) -> tuple:
+        return (self.value, self.method)
 
 
 def count_subpartitions(lam: Partition) -> CountResult:
@@ -365,8 +370,7 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     return minors
 
 
-@dataclass(frozen=True)
-class EnvelopeBound:
+class EnvelopeBound(Record):
     """Upper bound exp(sum of growth rates along the profile's convex
     envelope), kept in log space; value is math.inf once the bound is
     past the largest float."""
@@ -374,12 +378,17 @@ class EnvelopeBound:
     log_value: float
     value: float
 
+    def __init__(self, log_value: float, value: float) -> None:
+        self.__dict__.update(log_value=log_value, value=value)
+
 
 def envelope_count_bound(prof: LatticeProfile) -> EnvelopeBound:
     """Bound on the number of bridges below the profile: each unit step of
     the envelope with slope s can contribute at most e^{growth_rate(s)}
     paths per unit length.  Envelope slopes stay in [-1, 1] because the
     profile's own steps are +-1."""
+    from .ratefn import growth_rate
+
     heights = DiscreteFunction(prof.lo, tuple(float(h) for h in prof.heights))
     env = lower_convex_envelope(heights)
     log_value = 0.0

@@ -8,21 +8,21 @@ its left-pinned form for the decreasing envelope, by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .partitions import Record
 
-@dataclass(frozen=True)
-class DiscreteFunction:
+
+class DiscreteFunction(Record):
     """Real values on the integer interval lo..lo+len(values)-1."""
 
     lo: int
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, lo: int, values: tuple[float, ...]) -> None:
+        if not values:
             raise ValueError("domain must be nonempty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        self.__dict__.update(lo=lo, values=tuple([float(v) for v in values]))
 
     @property
     def hi(self) -> int:

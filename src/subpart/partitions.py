@@ -10,7 +10,6 @@ exactly ``2n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator
@@ -33,15 +32,52 @@ class ResourceLimitError(RuntimeError):
     """Raised when a scan, a DP or a parsed partition's window exceeds its cap."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the package's immutable value records.
+
+    A record's fields are the names its class annotates, in order (a
+    subclass adds its own after its base's), and its ``__init__`` stores
+    them through ``__dict__``.  Records compare equal only to records of
+    the same class with equal ``_key()``, by default every field; the hash
+    is the hash of that key, and the repr names every field.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(Record):
     """A weakly decreasing tuple of positive integer parts."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
+        self.__dict__["parts"] = parts
         for p in parts:
             if not isinstance(p, int) or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
@@ -98,8 +134,7 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in lam.parts if p >= j) for j in range(1, lam.parts[0] + 1)))
 
 
-@dataclass(frozen=True)
-class LatticeProfile:
+class LatticeProfile(Record):
     """Profile heights G(j) on the integer window lo..hi.
 
     G takes the value |j| at both window endpoints, satisfies G(j) >= |j|,
@@ -111,17 +146,18 @@ class LatticeProfile:
     hi: int
     heights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo or len(self.heights) != self.hi - self.lo + 1:
+    def __init__(self, lo: int, hi: int, heights: tuple[int, ...]) -> None:
+        if hi < lo or len(heights) != hi - lo + 1:
             raise ValueError("window does not match heights")
-        if self.heights[0] != abs(self.lo) or self.heights[-1] != abs(self.hi):
+        if heights[0] != abs(lo) or heights[-1] != abs(hi):
             raise ValueError("profile must equal |j| at the window endpoints")
-        for j, g in zip(range(self.lo, self.hi + 1), self.heights):
+        for j, g in zip(range(lo, hi + 1), heights):
             if g < abs(j):
                 raise ValueError(f"profile dips below |j| at {j}")
-        for a, b in zip(self.heights, self.heights[1:]):
+        for a, b in zip(heights, heights[1:]):
             if abs(b - a) != 1:
                 raise ValueError("profile increments must be +-1")
+        self.__dict__.update(lo=lo, hi=hi, heights=heights)
 
     def value(self, j: int) -> int:
         if j < self.lo or j > self.hi:

@@ -12,9 +12,13 @@ loading only the format it prints.
 
 from __future__ import annotations
 
-from .counting import CountResult, EnvelopeBound
-from .maximizer import MaximizerReport, ShapeReport
+from typing import TYPE_CHECKING
+
 from .partitions import format_partition
+
+if TYPE_CHECKING:
+    from .counting import CountResult, EnvelopeBound
+    from .maximizer import MaximizerReport, ShapeReport
 
 MAXIMIZE_COLUMNS = [
     "n",

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .envelope import lower_hull
-from .partitions import LatticeProfile
+from .partitions import LatticeProfile, Record
 
 _EDGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearShape:
+class PiecewiseLinearShape(Record):
     """Piecewise-linear member of the shape space.
 
     ``kinks`` is a strictly increasing-in-x tuple of (x, y) vertices; the
@@ -33,9 +31,9 @@ class PiecewiseLinearShape:
 
     kinks: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        kinks = tuple((float(x), float(y)) for x, y in self.kinks)
-        object.__setattr__(self, "kinks", kinks)
+    def __init__(self, kinks: tuple[tuple[float, float], ...]) -> None:
+        kinks = tuple([(float(x), float(y)) for x, y in kinks])
+        self.__dict__["kinks"] = kinks
         if not kinks:
             raise ValueError("a piecewise-linear shape needs at least one kink")
         xs = [x for x, _ in kinks]

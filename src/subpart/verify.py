@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
@@ -42,7 +41,7 @@ from .counting import (
 from .envelope import DiscreteFunction, lower_convex_envelope
 from .maximizer import HR_RATE, find_maximizers, maximizer_report
 from .oracles import enumerate_partitions
-from .partitions import DEFAULT_SEED, Partition, conjugate, profile
+from .partitions import DEFAULT_SEED, Partition, Record, conjugate, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
     VershikCurve,
@@ -60,16 +59,17 @@ AREA_CONSTANT = math.pi**2 / 12.0
 TAIL_CUTOFF = 40.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str
     seconds: float
 
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
 
-@dataclass(frozen=True)
-class VerifyCaps:
+
+class VerifyCaps(Record):
     order_pairs_n: int
     area_n: int
     conjugation_n: int
@@ -88,6 +88,48 @@ class VerifyCaps:
     growth_n: int
     trend_ns: range
     determinism_n: int
+
+    def __init__(
+        self,
+        order_pairs_n: int,
+        area_n: int,
+        conjugation_n: int,
+        enumeration_n: int,
+        envelope_trials: int,
+        rate_points: int,
+        bridge_n: int,
+        brute_n: int,
+        bound_n: int,
+        chain_bound_n: int,
+        crude_n: int,
+        monotonicity_n: int,
+        pentagonal_n: int,
+        closure_n: int,
+        closure_chain_n: int,
+        growth_n: int,
+        trend_ns: range,
+        determinism_n: int,
+    ) -> None:
+        self.__dict__.update(
+            order_pairs_n=order_pairs_n,
+            area_n=area_n,
+            conjugation_n=conjugation_n,
+            enumeration_n=enumeration_n,
+            envelope_trials=envelope_trials,
+            rate_points=rate_points,
+            bridge_n=bridge_n,
+            brute_n=brute_n,
+            bound_n=bound_n,
+            chain_bound_n=chain_bound_n,
+            crude_n=crude_n,
+            monotonicity_n=monotonicity_n,
+            pentagonal_n=pentagonal_n,
+            closure_n=closure_n,
+            closure_chain_n=closure_chain_n,
+            growth_n=growth_n,
+            trend_ns=trend_ns,
+            determinism_n=determinism_n,
+        )
 
 
 FAST = VerifyCaps(

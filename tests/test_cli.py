@@ -343,9 +343,14 @@ COMMAND_ONLY_MODULES = (
     "subpart.verify",
     "subpart.oracles",
     "subpart.svgplot",
+    "subpart.maximizer",
+    "subpart.ratefn",
+    "subpart.shapes",
     "xml.etree.ElementTree",
     "json",
     "threading",
+    "dataclasses",
+    "inspect",
 )
 
 
@@ -370,6 +375,31 @@ def test_count_loads_neither_verify_nor_svgplot():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "19\n0 []\n"
+
+
+@pytest.mark.parametrize("argv, out", [(["count", "4,2,1"], "19\n"), (["pn", "30"], "5604\n")])
+def test_count_and_pn_load_neither_the_scan_nor_dataclasses(argv, out):
+    # diffed against a snapshot, as the start-up test above is
+    code = (
+        "import sys; before = set(sys.modules); from subpart import cli; "
+        f"code = cli.main({argv!r}); "
+        "print(code, [m for m in ('subpart.maximizer', 'dataclasses') "
+        "if m in sys.modules and m not in before])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{out}0 []\n"
+
+
+# a scan and a bound import maximizer and ratefn on first use; in process
+# another test has usually imported them already, so run each cold once
+@pytest.mark.parametrize("argv", [["maximize", "--n", "12", "--format", "csv"], ["bound", "4,2,1"]])
+def test_cold_lazy_commands_match_in_process(argv, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "subpart.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(capsys, *argv) == (0, proc.stdout)
 
 
 def test_cold_shape_matches_in_process(tmp_path, capsys):
@@ -452,6 +482,29 @@ def test_package_import_leaves_oracles_and_verify_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import importlib
+
+    import subpart
+
+    for name in subpart.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(subpart, name)
+        # the table names the defining module, so a name loads no more than that
+        assert value.__module__ == f"subpart.{subpart._HOMES[name]}", name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(subpart.__all__) <= set(dir(subpart))
+    with pytest.raises(AttributeError):
+        subpart.no_such_name
+
+
+def test_star_import_binds_all_public_names():
+    code = "from subpart import *; import subpart; print(sorted(set(subpart.__all__) - set(globals())))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 def test_module_entry_point():
