@@ -12,15 +12,17 @@ leaf is scored by its grandparent: a node scores the leaves of each
 child's children in closed form, as determinants of their k x k
 Gessel-Viennot matrices, family by family, from sums it moves from leaf
 to leaf by Pascal's rule (at k = 1, four running sums walked by second
-differences).  So only nodes with grandchildren are pushed; the root's
-leaf (n), which has no grandparent, counts C(n + k, k) in closed form,
-and its children's leaves (n - q, q) are a family of the root.  At k = 1
-the scan is a branch and bound: a table of upper bounds on what the rows
-still to be placed can contribute (``_bound_table``) lets a node skip
-each child whose subtree cannot reach the best count found so far, and
-ties are never skipped; at k >= 2 every leaf is scored.  Nothing is
-materialized but the winners.  The scan runs in one process, and
-``check_scan`` refuses an oversized n or k before any of its work.
+differences; at k = 2, eight ints per node and ad - bc per leaf, with no
+list built per family or leaf).  So only nodes with grandchildren are
+pushed; the root's leaf (n), which has no grandparent, counts
+C(n + k, k) in closed form, and its children's leaves (n - q, q) are a
+family of the root.  At k = 1 the scan is a branch and bound: a table of
+upper bounds on what the rows still to be placed can contribute
+(``_bound_table``) lets a node skip each child whose subtree cannot
+reach the best count found so far, and ties are never skipped; at
+k >= 2 every leaf is scored.  Nothing is materialized but the winners.
+The scan runs in one process, and ``check_scan`` refuses an oversized n
+or k before any of its work.
 """
 
 from __future__ import annotations
@@ -205,10 +207,10 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     sums V_s extended by U_s without end, and w_s[0] = U_s.  From one leaf
     to the next, q' falls by one and top rises by one, and Pascal's rule
     adds the old w_s[j - 1] to every w_s[j] (``_pascal_up``), so a leaf
-    costs O(k^2) additions and a k x k determinant, ad - bc at k = 2
-    (``_chain_family``).  The child's vectors are never built: from the
-    binomial sums G_{s,j}(R) = sum_y L_s[y] C(R - y, j), j = 0..k+1, of
-    the node's lifted vectors L_s, ending in T_s (``_binomial_sums``),
+    costs O(k^2) additions and a k x k determinant (``_chain_family``).
+    The child's vectors are never built: from the binomial sums
+    G_{s,j}(R) = sum_y L_s[y] C(R - y, j), j = 0..k+1, of the node's
+    lifted vectors L_s, ending in T_s (``_binomial_sums``),
     w_s[j] = G_{s,j}(R) + T_s (C(R - p, j + 1) - C(R - q, j + 1)) at
     R = top + 2 for the family's first leaf, so
     w_s[0] = sum(L_s) + (q - p) T_s = U_s.  The children are taken from
@@ -220,6 +222,15 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     (``_binomial_paths``).  The root is the child, placing no part, of a
     node with no lifted vectors, so in the root's family every source is
     binomial, w_s[j] = C(R, j - s) at R = n - last + 2.
+
+    At k = 2 the node body holds all of this in local ints: the eight
+    sums G_{s,j}, s = 0, 1 and j = 0..3, come from ``_binomial_sums``
+    once per node and are moved up R by Pascal's rule, top-down; at the
+    root, whose one lifted vector leaves the second path binomial, that
+    path's sums are the row C(R + 1, 0..3) with T = 0.  Child q takes the
+    four differences C(R - p, j + 1) - C(R - q, j + 1) once for both
+    paths, and ``_pair_family`` walks the family on the two vectors'
+    eight ints, ad - bc per leaf.  No list is built per family or leaf.
     """
     # the root's leaf (n); its children's leaves (n - q, q), q <= last,
     # are the family of the root's children
@@ -236,8 +247,12 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
         binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
         pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
         if last > 0:
-            ws = _binomial_paths(pascal[n - last + 2], 0, k)
-            best = _chain_family(ws, 1, last, n, pascal, best, winners, None)
+            # both sources of the root's family are binomial, w_s[j] = C(R, j - s)
+            row = pascal[n - last + 2]
+            if k == 2:
+                best = _pair_family(*row[:4], 0, *row[:3], 1, last, n, pascal, best, winners, None)
+            else:
+                best = _chain_family(_binomial_paths(row, 0, k), 1, last, n, pascal, best, winners, None)
         stack = [(None, [[0] * (k - 1) + [1]], 0, 0, n)]
     # a node: its path, the counts of its top row (for k > 1 a list of
     # them, one per chain path started below it), its largest part, its
@@ -254,6 +269,39 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
             for q in range(first, deep + 1):
                 stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
             # taken from the last, so that R never falls
+            if k == 2:
+                at = None
+                for q in range(split, first - 1, -1):
+                    end = min((r - q) // 2, r - q - d - 3)
+                    R = r - q - end + 2
+                    if at is None:
+                        # the sums G_{0,j} and G_{1,j} of the node's two paths;
+                        # the root's second path starts at the child
+                        at, tg = R, lifted[0][-1]
+                        if p:
+                            (g0, g1, g2, g3), (h0, h1, h2, h3) = _binomial_sums(lifted, binomials, n - R)
+                            th = lifted[1][-1]
+                        else:
+                            ((g0, g1, g2, g3),) = _binomial_sums(lifted, binomials, n - R)
+                            h0, h1, h2, h3 = pascal[R + 1][:4]
+                            th = 0
+                    for _ in range(R - at):
+                        g3 += g2
+                        g2 += g1
+                        g1 += g0
+                        h3 += h2
+                        h2 += h1
+                        h1 += h0
+                    at = R
+                    x, y = pascal[R - p], pascal[R - q]
+                    d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]
+                    best = _pair_family(
+                        g0 + tg * d1, g1 + tg * d2, g2 + tg * d3, g3 + tg * d4,
+                        h0 + th * d1, h1 + th * d2, h2 + th * d3, h3 + th * d4,
+                        q, end, r - q, pascal, best, winners, (q, path),
+                    )
+                    leaves += end - q + 1
+                continue
             ell, sums = len(lifted), None
             for q in range(split, first - 1, -1):
                 end = min((r - q) // 2, r - q - d - 3)
@@ -354,7 +402,7 @@ def _chain_family(
     winners: list[tuple[int, ...]],
     path,
 ) -> int:
-    """Score the k >= 2 leaves that put one part q, part <= q <= last, over
+    """Score the k >= 3 leaves that put one part q, part <= q <= last, over
     the linked ``path`` of a node and all of top = rest - q on top, from
     last down, given the family vectors ``ws`` of the k chain paths at
     q = last: leaf q's Gessel-Viennot matrix is
@@ -363,17 +411,47 @@ def _chain_family(
     does and returns the new best; ``ws`` is used up."""
     for q in range(last, part - 1, -1):
         top = rest - q
-        cut = pascal[top + 1 - q]
-        if len(ws) == 2:
-            (a0, _, a1, a2), (b0, _, b1, b2) = ws
-            c1, c2 = cut[2], cut[3]
-            value = (a1 - a0 * c1) * (b2 - b0 * c2) - (a2 - a0 * c2) * (b1 - b0 * c1)
-        else:
-            tail = cut[2:]
-            value = _leading_minors([[a - w[0] * c for a, c in zip(w[2:], tail)] for w in ws])[-1]
+        tail = pascal[top + 1 - q][2:]
+        value = _leading_minors([[a - w[0] * c for a, c in zip(w[2:], tail)] for w in ws])[-1]
         if value >= best:
             best = _keep(value, best, winners, top, (q, path))
         _pascal_up(ws)
+    return best
+
+
+def _pair_family(
+    a0: int,
+    a1: int,
+    a2: int,
+    a3: int,
+    b0: int,
+    b1: int,
+    b2: int,
+    b3: int,
+    part: int,
+    last: int,
+    rest: int,
+    pascal: list[list[int]],
+    best: int,
+    winners: list[tuple[int, ...]],
+    path,
+) -> int:
+    """``_chain_family`` at k = 2, on the two family vectors a and b at
+    q = last held as ints: leaf q counts ad - bc over
+    e(s, t) = w_s[t + 2] - w_s[0] C(rest + 1 - 2q, t + 2), and one Pascal
+    step, top-down, moves a and b to q - 1."""
+    for q in range(last, part - 1, -1):
+        cut = pascal[rest + 1 - 2 * q]
+        c2, c3 = cut[2], cut[3]
+        value = (a2 - a0 * c2) * (b3 - b0 * c3) - (a3 - a0 * c3) * (b2 - b0 * c2)
+        if value >= best:
+            best = _keep(value, best, winners, rest - q, (q, path))
+        a3 += a2
+        a2 += a1
+        a1 += a0
+        b3 += b2
+        b2 += b1
+        b1 += b0
     return best
 
 

@@ -236,14 +236,16 @@ def test_bound_table_is_admissible():
     assert (tight, loose) == (261, 124)
 
 
-def test_maximizers_pinned_to_n80():
-    # frozen from the exhaustive scan; the bounded scan must find the same
-    # best count and every partition reaching it
-    text = Path(__file__).with_name("maximizers_k1.txt").read_text()
+@pytest.mark.parametrize("k, name, top", [(1, "maximizers_k1.txt", 80), (2, "maximizers_k2.txt", 45)])
+def test_maximizers_pinned_in_file(k, name, top):
+    # frozen from the exhaustive scan; the bounded k = 1 scan and the k = 2
+    # scan's closed-form walk must find the same best count and every
+    # partition reaching it
+    text = Path(__file__).with_name(name).read_text()
     lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
-    assert [int(line[0]) for line in lines] == list(range(1, 81))
+    assert [int(line[0]) for line in lines] == list(range(1, top + 1))
     for n, value, *winners in lines:
-        report = find_maximizers(int(n), cap=20_000_000)
+        report = find_maximizers(int(n), k, cap=20_000_000)
         assert report.max_count.value == int(value)
         assert report.maximizers == tuple(
             Partition(tuple(map(int, w.split(",")))) for w in winners

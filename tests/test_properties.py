@@ -1,8 +1,9 @@
 """Property tests: the boundary-walk profile against the diagonal count,
 the row DP against the bridge DP and brute force, the chain determinant
 against the transfer DP and the binomial determinant, on generated
-partitions, and the k = 1 scan's leaf-family walk against its closed
-form.  Derandomized, so every run draws the same cases."""
+partitions, the k = 1 scan's leaf-family walk against its closed form,
+and the k = 2 walk on ints against the generic k x k one.  Derandomized,
+so every run draws the same cases."""
 
 import math
 from unittest import mock
@@ -127,3 +128,32 @@ def test_family_walk_matches_closed_form(total, s0, s1, base, lo, size, rest):
         for j in range(lo, lo + size + 1)
     ]
     assert seen == want
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**6), 10**6), min_size=8, max_size=8),
+    st.integers(1, 30),
+    st.integers(0, 30),
+    st.integers(0, 40),
+)
+def test_pair_walk_matches_generic_walk(ints, part, size, slack):
+    # the same two family vectors, as ints and as lists: a _keep that never
+    # raises the best records every leaf of either walk, and the generic one
+    # scores each by _leading_minors
+    last, seen = part + size, []
+    rest = 2 * last + slack
+    pascal = [[math.comb(m, j) for j in range(5)] for m in range(rest + 2)]
+
+    def keep(value, best, winners, top, path):
+        seen.append((value, top, path))
+        return best
+
+    with mock.patch.object(maximizer, "_keep", keep):
+        maximizer._pair_family(*ints, part, last, rest, pascal, -math.inf, [], "p")
+        paired = seen[:]
+        seen.clear()
+        ws = [ints[:4], ints[4:]]
+        maximizer._chain_family(ws, part, last, rest, pascal, -math.inf, [], "p")
+    assert len(paired) == size + 1
+    assert paired == seen
