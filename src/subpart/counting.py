@@ -378,9 +378,6 @@ class EnvelopeBound(Record):
     log_value: float
     value: float
 
-    def __init__(self, log_value: float, value: float) -> None:
-        self.__dict__.update(log_value=log_value, value=value)
-
 
 def envelope_count_bound(prof: LatticeProfile) -> EnvelopeBound:
     """Bound on the number of bridges below the profile: each unit step of

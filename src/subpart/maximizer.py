@@ -65,26 +65,6 @@ class MaximizerReport(Record):
     hr_reference: float
     distance_to_vershik: float
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        maximizers: tuple[Partition, ...],
-        max_count: CountResult,
-        exponent: float,
-        hr_reference: float,
-        distance_to_vershik: float,
-    ) -> None:
-        self.__dict__.update(
-            n=n,
-            k=k,
-            maximizers=maximizers,
-            max_count=max_count,
-            exponent=exponent,
-            hr_reference=hr_reference,
-            distance_to_vershik=distance_to_vershik,
-        )
-
 
 class ShapeReport(Record):
     n: int
@@ -95,28 +75,6 @@ class ShapeReport(Record):
     profile_distance: float
     envelope_distance: float
     envelope_functional: float
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        partition: Partition,
-        profile_shape: PiecewiseLinearShape,
-        envelope_shape: PiecewiseLinearShape,
-        profile_distance: float,
-        envelope_distance: float,
-        envelope_functional: float,
-    ) -> None:
-        self.__dict__.update(
-            n=n,
-            k=k,
-            partition=partition,
-            profile_shape=profile_shape,
-            envelope_shape=envelope_shape,
-            profile_distance=profile_distance,
-            envelope_distance=envelope_distance,
-            envelope_functional=envelope_functional,
-        )
 
 
 def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:

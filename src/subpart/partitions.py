@@ -36,10 +36,12 @@ class Record:
     """Base of the package's immutable value records.
 
     A record's fields are the names its class annotates, in order (a
-    subclass adds its own after its base's), and its ``__init__`` stores
-    them through ``__dict__``.  Records compare equal only to records of
-    the same class with equal ``_key()``, by default every field; the hash
-    is the hash of that key, and the repr names every field.
+    subclass adds its own after its base's).  The base ``__init__`` takes
+    them by position or by name and stores them through ``__dict__``; a
+    class that validates, normalizes or defaults a field defines its own.
+    Records compare equal only to records of the same class with equal
+    ``_key()``, by default every field; the hash is the hash of that key,
+    and the repr names every field.
     """
 
     _fields: tuple[str, ...] = ()
@@ -47,6 +49,21 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for f, v in kwargs.items():
+            if f in values or f not in fields:
+                why = "multiple values for" if f in values else "an unexpected"
+                raise TypeError(f"{name}() got {why} argument {f!r}")
+            values[f] = v
+        if len(values) < len(fields):
+            missing = ", ".join(repr(f) for f in fields if f not in values)
+            raise TypeError(f"{name}() missing argument(s) {missing}")
+        self.__dict__.update(values)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

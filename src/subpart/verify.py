@@ -65,9 +65,6 @@ class CheckResult(Record):
     detail: str
     seconds: float
 
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
-        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
-
 
 class VerifyCaps(Record):
     order_pairs_n: int
@@ -88,48 +85,6 @@ class VerifyCaps(Record):
     growth_n: int
     trend_ns: range
     determinism_n: int
-
-    def __init__(
-        self,
-        order_pairs_n: int,
-        area_n: int,
-        conjugation_n: int,
-        enumeration_n: int,
-        envelope_trials: int,
-        rate_points: int,
-        bridge_n: int,
-        brute_n: int,
-        bound_n: int,
-        chain_bound_n: int,
-        crude_n: int,
-        monotonicity_n: int,
-        pentagonal_n: int,
-        closure_n: int,
-        closure_chain_n: int,
-        growth_n: int,
-        trend_ns: range,
-        determinism_n: int,
-    ) -> None:
-        self.__dict__.update(
-            order_pairs_n=order_pairs_n,
-            area_n=area_n,
-            conjugation_n=conjugation_n,
-            enumeration_n=enumeration_n,
-            envelope_trials=envelope_trials,
-            rate_points=rate_points,
-            bridge_n=bridge_n,
-            brute_n=brute_n,
-            bound_n=bound_n,
-            chain_bound_n=chain_bound_n,
-            crude_n=crude_n,
-            monotonicity_n=monotonicity_n,
-            pentagonal_n=pentagonal_n,
-            closure_n=closure_n,
-            closure_chain_n=closure_chain_n,
-            growth_n=growth_n,
-            trend_ns=trend_ns,
-            determinism_n=determinism_n,
-        )
 
 
 FAST = VerifyCaps(

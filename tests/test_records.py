@@ -11,7 +11,7 @@ import pytest
 from subpart.counting import CountResult, EnvelopeBound
 from subpart.envelope import DiscreteFunction
 from subpart.maximizer import MaximizerReport, ShapeReport
-from subpart.partitions import LatticeProfile, Partition
+from subpart.partitions import LatticeProfile, Partition, Record
 from subpart.shapes import PiecewiseLinearShape
 from subpart.verify import FAST, CheckResult, VerifyCaps
 
@@ -60,6 +60,13 @@ def test_positional_and_keyword_construction(cls, fields, values):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, values[-1])
+    # each of these names the class in its message
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*values, unknown_field=1)
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls()
 
 
 @pytest.mark.parametrize("cls, fields, values", RECORDS, ids=IDS)
@@ -91,6 +98,30 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields, values):
 def test_repr_names_every_field(cls, fields, values):
     expected = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(cls(*values)) == f"{cls.__qualname__}({expected})"
+
+
+class Point(Record):
+    x: int
+    y: int
+
+
+class Point3(Point):
+    z: int
+
+
+def test_annotations_alone_make_a_record_and_a_subclass_adds_fields_last():
+    assert Point._fields == ("x", "y") and Point3._fields == ("x", "y", "z")
+    p = Point3(1, 2, 3)
+    assert (p.x, p.y, p.z) == (1, 2, 3)
+    assert p == Point3(z=3, y=2, x=1) == Point3(1, 2, z=3)
+    assert p != Point(1, 2) and Point(1, 2) == Point(y=2, x=1)
+    assert repr(p) == "Point3(x=1, y=2, z=3)"
+    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+    assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+    with pytest.raises(TypeError, match="Point3"):
+        Point3(1, 2)
+    with pytest.raises(TypeError, match=r"^Point\b"):
+        Point(1, 2, 3)
 
 
 def test_envelope_bound_repr():
