@@ -6,6 +6,9 @@ accepts only the flags its handler reads: every command takes --format and
 table, shape) add --cap, and --jobs, parsed but without effect; verify adds
 --level and --seed.  Each handler builds its result's JSON payload, CSV
 rows and text, and ``render.document`` picks the one --format asks for.
+A run builds the parser of its own command only (``build_parser(name)``);
+help, an unknown command or no command builds the full tree of all
+seven, so every help and usage text reads as it would from the full tree.
 Start-up loads only ``render``, ``counting`` and what they import:
 ``maximizer`` (with ``shapes`` and ``ratefn``) is imported by the first
 scan, ``verify`` and ``svgplot`` only when their command runs, each
@@ -34,7 +37,9 @@ from .partitions import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except ResourceLimitError as exc:
@@ -48,14 +53,24 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-def _output_flags(formats: list[str]) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
+def _output_flags(parser: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    parser.add_argument(
         "--format", choices=formats, default="text",
         help="output format (default text)",
     )
-    parent.add_argument("--out", help="write output to this path instead of stdout")
-    return parent
+    parser.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _scan_flags(parser: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    _output_flags(parser, formats)
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="accepted for compatibility; has no effect, scans run in one process",
+    )
+    parser.add_argument(
+        "--cap", type=_positive_int, default=DEFAULT_SCAN_CAP,
+        help="scan cap on p(n)",
+    )
 
 
 def _positive_int(text: str) -> int:
@@ -68,64 +83,90 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    output = _output_flags(["text", "json", "csv"])
-    text_or_json = _output_flags(["text", "json"])
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="accepted for compatibility; has no effect, scans run in one process",
-    )
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_SCAN_CAP,
-        help="scan cap on p(n)",
-    )
+# One builder per command: it adds the command's flags, the shared ones
+# first (usage and help list flags in the order they were added), and
+# returns the command's handler.
+def _count_flags(p):
+    _output_flags(p)
+    p.add_argument("partition", help='comma-separated parts, e.g. "4,2,1"; "" is empty')
+    p.add_argument("--k", type=int, default=1, help="chain length (default 1)")
+    p.add_argument("--strict", action="store_true", help="forbid equal consecutive chain elements")
+    return cmd_count
 
+
+def _pn_flags(p):
+    _output_flags(p)
+    p.add_argument("n", type=int)
+    return cmd_pn
+
+
+def _bound_flags(p):
+    _output_flags(p)
+    p.add_argument("partition")
+    return cmd_bound
+
+
+def _maximize_flags(p):
+    _scan_flags(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=1)
+    return cmd_maximize
+
+
+def _table_flags(p):
+    _scan_flags(p)
+    p.add_argument("--n", required=True, help='range such as "1-12" or "4,9,16"')
+    p.add_argument("--k", type=int, default=1)
+    return cmd_table
+
+
+def _shape_flags(p):
+    _scan_flags(p, ("text", "json"))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=1)
+    return cmd_shape
+
+
+def _verify_flags(p):
+    _output_flags(p, ("text", "json"))
+    p.add_argument("--level", choices=["fast", "full"], default="fast")
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="seed for randomized verification checks",
+    )
+    return cmd_verify
+
+
+# name: (help, builder), in the order that --help lists them
+COMMANDS = {
+    "count": ("count subpartitions or k-chains", _count_flags),
+    "pn": ("partition numbers p(n)", _pn_flags),
+    "bound": ("envelope bound on the subpartition count", _bound_flags),
+    "maximize": ("find all count-maximizing partitions of n", _maximize_flags),
+    "table": ("maximizer reports over a range of n", _table_flags),
+    "shape": ("SVG of the maximizer shape against the limit curve", _shape_flags),
+    "verify": ("run the self-verification suites", _verify_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command`` alone when it names one of COMMANDS, else
+    the full tree, which every help, unknown or missing command parses with."""
     parser = argparse.ArgumentParser(
         prog="subpart",
         description="count subpartitions and nested chains, bound them, "
         "and study the partitions maximizing them",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", parents=[output], help="count subpartitions or k-chains")
-    p_count.add_argument("partition", help='comma-separated parts, e.g. "4,2,1"; "" is empty')
-    p_count.add_argument("--k", type=int, default=1, help="chain length (default 1)")
-    p_count.add_argument("--strict", action="store_true", help="forbid equal consecutive chain elements")
-    p_count.set_defaults(handler=cmd_count)
-
-    p_pn = sub.add_parser("pn", parents=[output], help="partition numbers p(n)")
-    p_pn.add_argument("n", type=int)
-    p_pn.set_defaults(handler=cmd_pn)
-
-    p_bound = sub.add_parser("bound", parents=[output], help="envelope bound on the subpartition count")
-    p_bound.add_argument("partition")
-    p_bound.set_defaults(handler=cmd_bound)
-
-    p_max = sub.add_parser("maximize", parents=[output, jobs, cap], help="find all count-maximizing partitions of n")
-    p_max.add_argument("--n", type=int, required=True)
-    p_max.add_argument("--k", type=int, default=1)
-    p_max.set_defaults(handler=cmd_maximize)
-
-    p_table = sub.add_parser("table", parents=[output, jobs, cap], help="maximizer reports over a range of n")
-    p_table.add_argument("--n", required=True, help='range such as "1-12" or "4,9,16"')
-    p_table.add_argument("--k", type=int, default=1)
-    p_table.set_defaults(handler=cmd_table)
-
-    p_shape = sub.add_parser("shape", parents=[text_or_json, jobs, cap], help="SVG of the maximizer shape against the limit curve")
-    p_shape.add_argument("--n", type=int, required=True)
-    p_shape.add_argument("--k", type=int, default=1)
-    p_shape.set_defaults(handler=cmd_shape)
-
-    p_verify = sub.add_parser("verify", parents=[text_or_json], help="run the self-verification suites")
-    p_verify.add_argument("--level", choices=["fast", "full"], default="fast")
-    p_verify.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="seed for randomized verification checks",
-    )
-    p_verify.set_defaults(handler=cmd_verify)
-
+    if command in COMMANDS:
+        # a lone command still names all of them wherever usage is printed
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=add_flags(p))
     return parser
 
 

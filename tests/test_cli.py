@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -330,6 +331,111 @@ def test_unread_flags_and_commands_rejected(argv):
     assert err.value.code == 2
 
 
+# main builds the parser of the command that argv names, or the full tree;
+# each must parse every argv alike.  Kept before any test patches it.
+FULL_PARSER = cli.build_parser
+
+
+def _commands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def _parse_outcome(parser, argv, capsys):
+    """The Namespace, or the exit code, that parsing argv gives, with what it printed."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+def _spy_on_build_parser(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(FULL_PARSER(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return built
+
+
+PARSER_ORACLE_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["--", "count", "1"],
+    ["maximize", "--n"],
+    ["verify", "--lev", "fast"],
+    # its usage line names every command
+    ["count", "1", "extra"],
+    ["count", "2,2", "--k", "2", "--strict"],
+    ["pn", "5", "--format", "json"],
+    ["bound", "4,2,1", "--out", "b.txt"],
+    ["maximize", "--n", "6", "--jobs", "2"],
+    ["table", "--n", "1-4", "--cap", "9", "--format", "csv"],
+    ["shape", "--n", "5", "--k", "2"],
+    ["verify", "--seed", "3", "--format", "json"],
+] + [[command, "--help"] for command in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", PARSER_ORACLE_ARGV, ids=lambda argv: shlex.join(argv) or "(none)")
+def test_parser_main_builds_matches_the_full_tree(argv, capsys, monkeypatch, tmp_path):
+    # bound and shape write their files into the working directory
+    monkeypatch.chdir(tmp_path)
+    built = _spy_on_build_parser(monkeypatch)
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    (own,) = built
+    capsys.readouterr()
+    named = argv[:1] if argv and argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    assert _commands(own) == named
+    # COLUMNS fixes where argparse wraps help and usage
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _parse_outcome(own, argv, capsys) == _parse_outcome(FULL_PARSER(), argv, capsys)
+
+
+# each command in the order --help lists it, with its help string and the usage of its flags
+COMMAND_HELP = [
+    ("count", "count subpartitions or k-chains",
+     "[-h] [--format {text,json,csv}] [--out OUT] [--k K] [--strict] partition"),
+    ("pn", "partition numbers p(n)", "[-h] [--format {text,json,csv}] [--out OUT] n"),
+    ("bound", "envelope bound on the subpartition count",
+     "[-h] [--format {text,json,csv}] [--out OUT] partition"),
+    ("maximize", "find all count-maximizing partitions of n",
+     "[-h] [--format {text,json,csv}] [--out OUT] [--jobs JOBS] [--cap CAP] --n N [--k K]"),
+    ("table", "maximizer reports over a range of n",
+     "[-h] [--format {text,json,csv}] [--out OUT] [--jobs JOBS] [--cap CAP] --n N [--k K]"),
+    ("shape", "SVG of the maximizer shape against the limit curve",
+     "[-h] [--format {text,json}] [--out OUT] [--jobs JOBS] [--cap CAP] --n N [--k K]"),
+    ("verify", "run the self-verification suites",
+     "[-h] [--format {text,json}] [--out OUT] [--level {fast,full}] [--seed SEED]"),
+]
+
+
+def _help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_build_parser_without_a_command_builds_all_seven(capsys, monkeypatch):
+    # the benchmark's set-up code times this call
+    assert _commands(cli.build_parser()) == [name for name, _, _ in COMMAND_HELP]
+    monkeypatch.setenv("COLUMNS", "200")
+    listed = re.findall(r"^ {4}(\S+) +(\S.*)$", _help_text(capsys, "--help"), flags=re.M)
+    assert listed == [(name, help_text) for name, help_text, _ in COMMAND_HELP]
+    for name, _, usage in COMMAND_HELP:
+        assert _help_text(capsys, name, "--help").startswith(f"usage: subpart {name} {usage}\n")
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     code, out = run_cli(capsys, "pn", "30")
     target = tmp_path / "pn.txt"
@@ -572,12 +678,15 @@ def _argv(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(_argv())
-def test_any_argv_ends_in_a_documented_exit_code(tmp_path, monkeypatch, argv):
+def test_any_argv_ends_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, argv):
     # shape writes its SVG into the working directory when --out is absent
     monkeypatch.chdir(tmp_path)
+    built = _spy_on_build_parser(monkeypatch)
     try:
         code = cli.main(argv)
     except SystemExit as exc:
         assert exc.code in (0, 2), argv
     else:
         assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "verify"), (argv, code)
+    capsys.readouterr()
+    assert _parse_outcome(built[-1], argv, capsys) == _parse_outcome(FULL_PARSER(), argv, capsys)
