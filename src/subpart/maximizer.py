@@ -5,24 +5,25 @@ Chain counts are conjugation-invariant, so the scan visits only the
 partitions of n with largest part at least their length, adds the
 conjugate of each winner, and reports every argmax in decreasing
 lexicographic order: maximizer sets come out conjugation-closed and
-deterministic.  For every k it builds each partition from its smallest
-part upward and carries row-DP vectors (``counting._lift``) down that
-tree, so partitions sharing their lower rows share the DP work.  Every
-leaf is scored by its grandparent: a node scores the leaves of each
-child's children in closed form, as determinants of their k x k
-Gessel-Viennot matrices, family by family, from sums it moves from leaf
-to leaf by Pascal's rule (at k = 1, four running sums walked by second
-differences; at k = 2, eight ints per node and ad - bc per leaf, with no
-list built per family or leaf).  So only nodes with grandchildren are
-pushed; the root's leaf (n), which has no grandparent, counts
-C(n + k, k) in closed form, and its children's leaves (n - q, q) are a
-family of the root.  At k = 1 the scan is a branch and bound: a table of
-upper bounds on what the rows still to be placed can contribute
+deterministic.  The scan (``_scan_maxima``) builds each partition from
+its smallest part upward and carries row-DP vectors down that tree, so
+partitions sharing their lower rows share the DP work.  Every leaf is
+scored by its grandparent: a node scores the leaves of each child's
+children in closed form, family by family, so only nodes with
+grandchildren are pushed; the root's leaf (n), which has no grandparent,
+counts C(n + k, k), and its children's leaves (n - q, q) are a family of
+the root.  One of two kernels then walks the tree from the root, an
+ordinary node of it.  At k = 1, ``_scan_bounded`` is a branch and bound:
+four running sums walk each family by second differences, and a table
+of upper bounds on what the rows still to be placed can contribute
 (``_bound_table``) lets a node skip each child whose subtree cannot
-reach the best count found so far, and ties are never skipped; at
-k >= 2 every leaf is scored.  Nothing is materialized but the winners.
-The scan runs in one process, and ``check_scan`` refuses an oversized n
-or k before any of its work.
+reach the best count found so far; ties are never skipped.  At k >= 2,
+``_scan_chains`` scores every leaf as the determinant of its k x k
+Gessel-Viennot matrix, from binomial sums it moves from leaf to leaf by
+Pascal's rule (at k = 2, eight ints per node and ad - bc per leaf, with
+no list built per family or leaf).  Nothing is materialized but the
+winners.  The scan runs in one process, and ``check_scan`` refuses an
+oversized n or k before any of its work.
 """
 
 from __future__ import annotations
@@ -96,48 +97,58 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     brings its conjugate; one with lam_1 = len(lam) has a conjugate of the
     same kind, visited on its own.
 
-    A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
-    the one ``counting._chain_matrix`` joins at lam_1's strip (c = 1),
-    with the sink weights C(r - x, t) in closed form: every node lifts the
-    row-DP vectors of its chain paths (``counting._lift``), starting one
-    more path while it has fewer than k parts, and a child gets them
-    extended by their last entries.  At k = 1 the count is the
-    subpartition count sum(lifted) + (r - p) T, T the total of the lifted
-    vector.
-
     Child q has children q' >= q only if q <= (r - q) // 2 and
     q <= r - q - d - 3, that is q <= split = min(r // 3, (r - d - 3) // 2),
     and grandchildren only if its child q' = q has children, that is
     q <= deep = min(split, r // 4, (r - d - 4) // 3); both bounds fall with
     q.  Every leaf is scored by its grandparent: the leaves of child q's
     children, q <= q' <= end with r - q - q' on top, are a family that the
-    node scores for each child with children (first <= q <= split), so
-    only the children up to deep are pushed.  The root's leaf (n) has no
+    node scores for each child with children (q <= split), so only the
+    children up to deep are pushed.  The root's leaf (n) has no
     grandparent; its weak k-chains are the multisets of k values from
     0..n, C(n + k, k) of them.  Its children's leaves (n - q, q),
-    1 <= q <= last = min(n // 2, n - 2), are scored as the family of the
-    root's children, from part 1 (see below).
+    1 <= q <= last = min(n // 2, n - 2), are the family of the root's
+    children, which the kernel scores before its walk: ``_scan_bounded``,
+    a branch and bound, at k = 1, and ``_scan_chains``, exhaustive, at
+    k >= 2.
+    """
+    last = min(n // 2, n - 2)
+    winners = []
+    best = _keep(math.comb(n + k, k), 0, winners, n, None)
+    if k == 1:
+        best, leaves = _scan_bounded(n, last, best, winners)
+    else:
+        best, leaves = _scan_chains(n, k, last, best, winners)
+    winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
+    return best, winners, 1 + max(0, last) + leaves
 
-    At k = 1 the node's lifted vector L has total T, and child q lifts
-    L + [T] * (q - p).  Write tc, c0 and c1 for the total and sum of child
-    q's lifted vector and the sum of its prefix sums: at q = p they are
+
+def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) -> tuple[int, int]:
+    """The k = 1 kernel of ``_scan_maxima``: score the root's family, then
+    walk the tree by branch and bound (Land and Doig, Econometrica 28,
+    1960); returns the new best and the number of leaves scored below the
+    root's children.
+
+    A node's row counts (``_row_step``) lift to L with total T, and child
+    q lifts L + [T] * (q - p); the node's leaf has sum(L) + (r - p) T
+    subpartitions.  Write tc, c0 and c1 for the total and sum of child q's
+    lifted vector and the sum of its prefix sums: at q = p they are
     sum(L), sum(accumulate(L)) and sum(accumulate(accumulate(L))), and one
     more part appends T to the child's vector, which adds T to tc, the new
-    tc to c0 and the new c0 to c1; the root, p = 0, takes that step once
-    for its first child, q = 1.  By the same rule, a family node of total
-    T' whose leaf q' lifts to total t and sum c gives that leaf the count
-    V(q') = c + (rest - 2q') t, so V(q' + 1) - V(q') = T' (rest - 2q' - 1) - t,
-    a step that falls by 3T' a part: 2T' as rest - 2q' shrinks and T' as t
-    grows.  Child q's family, with rest = r - q, is thus walked by second
-    differences (``_family``) from T' = tc, t = c0 and c = c1 at q' = q.
-    The root's own family has T' = 1, and its leaf q' = 1 lifts
-    [1, 1] to [1, 2]: t = 2 and c = 3.
+    tc to c0 and the new c0 to c1.  By the same rule, a family node of
+    total T' whose leaf q' lifts to total t and sum c gives that leaf the
+    count V(q') = c + (rest - 2q') t, so
+    V(q' + 1) - V(q') = T' (rest - 2q' - 1) - t, a step that falls by 3T' a
+    part: 2T' as rest - 2q' shrinks and T' as t grows.  Child q's family,
+    with rest = r - q, is thus walked by second differences (``_family``)
+    from T' = tc, t = c0 and c = c1 at q' = q.  The root is a part 1 filled
+    with 0, counts [1, 0], which bounds no row above it; its own family
+    has T' = 1, t = 2 and c = 3, as its leaf q' = 1 lifts [1, 1] to [1, 2].
 
-    So at k = 1 the scan is a branch and bound (Land and Doig,
-    Econometrica 28, 1960).  Child q's row counts grown = L + [T] * (q - p)
-    count at y the fillings of the rows up to q that put y in row q.  Every
-    leaf below the child stacks some nu |- r - q with parts at least q on
-    that row, read from the smallest, nu_1 <= ... <= nu_m, and counts
+    Child q's row counts grown = L + [T] * (q - p) count at y the fillings
+    of the rows up to q that put y in row q.  Every leaf below the child
+    stacks some nu |- r - q with parts at least q on that row, read from
+    the smallest, nu_1 <= ... <= nu_m, and counts
     sum_y grown[y] A_nu(y), where A_nu(y) counts the fillings
     y <= v_1 <= ... <= v_m with v_i <= nu_i.  Splitting off v_1,
     A_nu(y) = sum_{v=y}^{nu_1} A_nu'(v), nu' the rest of nu, and
@@ -153,14 +164,56 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     which only rises, so it is no winner, while a subtree that could tie
     the best is still scored, and the winners are those of the exhaustive
     scan.  Children are pushed so that the smallest q is popped first,
-    which raises best early.  At k >= 2 the scan stays exhaustive: the
-    bounds tried there ignore the determinant's cancellation and prune
-    almost nothing.
+    which raises best early.
+    """
+    best = _family(1, 2, 3, 1, last, n, best, winners, None)
+    bounds, leaves = _bound_table(n), 0
+    # a node: its path, the counts of its top row, its largest part, its
+    # number of parts, the rest of n
+    stack = [(None, [1, 0], 1, 0, n)]
+    while stack:
+        path, counts, p, d, r = stack.pop()
+        split = min(r // 3, (r - d - 3) // 2)
+        deep = min(split, r // 4, (r - d - 4) // 3)
+        lifted, total = _row_step(counts)
+        sums = list(accumulate(lifted))
+        tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
+        kids = []
+        for q in range(p, split + 1):
+            grown = lifted + [total] * (q - p)
+            # strict, so a subtree that can tie the best is still scored
+            if sum(map(mul, grown, bounds[r - q][q])) >= best:
+                end = min((r - q) // 2, r - q - d - 3)
+                best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
+                leaves += end - q + 1
+                if q <= deep:
+                    kids.append(((q, path), grown, q, d + 1, r - q))
+            tc += total
+            c0 += tc
+            c1 += c0
+        # the smallest q is popped first
+        stack += reversed(kids)
+    return best, leaves
 
-    At k >= 2 child q's lifted vectors V_s end in U_s, and its family puts
-    one more part q' on it and leaves top = r - q - q' on top.  The
-    hockey-stick identity carries V_s + [U_s] * (q' - q) through the
-    leaf's row: e(s, t) = w_s[t + 2] - U_s C(top + 1 - q', t + 2), where
+
+def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, ...]]) -> tuple[int, int]:
+    """The k >= 2 kernel of ``_scan_maxima``: score the root's family, then
+    every leaf of the tree; returns the new best and the number of leaves
+    scored below the root's children.  The walk is exhaustive: the bounds
+    tried at k >= 2 ignore the determinant's cancellation and prune almost
+    nothing.
+
+    A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
+    the one ``counting._chain_matrix`` joins at lam_1's strip (c = 1),
+    with the sink weights C(r - x, t) in closed form: every node lifts the
+    row-DP vectors of its chain paths (``counting._lift``), starting one
+    more path while it has fewer than k parts, and a child gets them
+    extended by their last entries.
+
+    Child q's lifted vectors V_s end in U_s, and its family puts one more
+    part q' on it and leaves top = r - q - q' on top.  The hockey-stick
+    identity carries V_s + [U_s] * (q' - q) through the leaf's row:
+    e(s, t) = w_s[t + 2] - U_s C(top + 1 - q', t + 2), where
     w_s[j] = sum_y V_s[y] C(top + 1 - y, j - 1) + U_s C(top + 1 - q, j)
     sums V_s extended by U_s without end, and w_s[0] = U_s.  From one leaf
     to the next, q' falls by one and top rises by one, and Pascal's rule
@@ -177,89 +230,65 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     lifted vectors, has not started is binomial: the paths started at the
     child (vector ones, U = 1) and at the leaf, and the sources below lam
     (as in ``_chain_matrix``), all have w_s[j] = C(R + ell, j - s + ell)
-    (``_binomial_paths``).  The root is the child, placing no part, of a
-    node with no lifted vectors, so in the root's family every source is
-    binomial, w_s[j] = C(R, j - s) at R = n - last + 2.
+    (``_binomial_paths``).  In the root's family every source is binomial,
+    w_s[j] = C(R, j - s) at R = n - last + 2.
 
     At k = 2 the node body holds all of this in local ints: the eight
-    sums G_{s,j}, s = 0, 1 and j = 0..3, come from ``_binomial_sums``
-    once per node and are moved up R by Pascal's rule, top-down; at the
-    root, whose one lifted vector leaves the second path binomial, that
-    path's sums are the row C(R + 1, 0..3) with T = 0.  Child q takes the
-    four differences C(R - p, j + 1) - C(R - q, j + 1) once for both
-    paths, and ``_pair_family`` walks the family on the two vectors'
-    eight ints, ad - bc per leaf.  No list is built per family or leaf.
+    sums G_{s,j}, s = 0, 1 and j = 0..3, come from ``_binomial_sums`` once
+    per node and are moved up R by Pascal's rule.  Child q takes the four
+    differences C(R - p, j + 1) - C(R - q, j + 1) once for both paths, and
+    ``_pair_family`` walks the family on the two vectors' eight ints,
+    ad - bc per leaf.  No list is built per family or leaf.  The root
+    starts both paths, [[0, 1], [1, -1]]: one lift makes the second
+    [1, 0], whose sums are C(R + 1, j) with total 0, and a child extends
+    it by zeros and lifts it to the ones ``_lift`` starts there.
     """
-    # the root's leaf (n); its children's leaves (n - q, q), q <= last,
-    # are the family of the root's children
-    last = min(n // 2, n - 2)
-    winners = []
-    best, leaves = _keep(math.comb(n + k, k), 0, winners, n, None), 1 + max(0, last)
-    if k == 1:
-        best = _family(1, 2, 3, 1, last, n, best, winners, None)
-        bounds = _bound_table(n)
-        stack = [(None, [1], 0, 0, n)]
-    else:
-        # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
-        # pascal[m][j] = C(m, j)
-        binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
-        pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
-        if last > 0:
-            # both sources of the root's family are binomial, w_s[j] = C(R, j - s)
-            row = pascal[n - last + 2]
-            if k == 2:
-                best = _pair_family(*row[:4], 0, *row[:3], 1, last, n, pascal, best, winners, None)
-            else:
-                best = _chain_family(_binomial_paths(row, 0, k), 1, last, n, pascal, best, winners, None)
-        stack = [(None, [[0] * (k - 1) + [1]], 0, 0, n)]
-    # a node: its path, the counts of its top row (for k > 1 a list of
-    # them, one per chain path started below it), its largest part, its
-    # number of parts, the rest of n
+    # binomials[j][n - R + i] = C(R - x, j) at index i = x + k - 1, and
+    # pascal[m][j] = C(m, j)
+    binomials = [[math.comb(n + k - 1 - i, j) for i in range(n + k)] for j in range(k + 2)]
+    pascal = [[math.comb(m, j) for j in range(k + 3)] for m in range(n + k)]
+    if last > 0:
+        ws = _binomial_paths(pascal[n - last + 2], 0, k)
+        if k == 2:
+            best = _pair_family(*ws[0], *ws[1], 1, last, n, pascal, best, winners, None)
+        else:
+            best = _chain_family(ws, 1, last, n, pascal, best, winners, None)
+    leaves = 0
+    # a node: its path, the counts of its top row for each chain path
+    # started below it, its largest part, its number of parts, the rest of n
+    stack = [(None, [[0, 1], [1, -1]] if k == 2 else [[0] * (k - 1) + [1]], 0, 0, n)]
     while stack:
         path, counts, p, d, r = stack.pop()
         first = p or 1
         split = min(r // 3, (r - d - 3) // 2)
         deep = min(split, r // 4, (r - d - 4) // 3)
+        lifted = _lift(counts, p, k)
+        for q in range(first, deep + 1):
+            stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
         # each child with children, first <= q <= split, brings the family
-        # of its children's leaves
-        if k > 1:
-            lifted = _lift(counts, p, k)
-            for q in range(first, deep + 1):
-                stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
-            # taken from the last, so that R never falls
-            if k == 2:
-                at = None
-                for q in range(split, first - 1, -1):
-                    end = min((r - q) // 2, r - q - d - 3)
-                    R = r - q - end + 2
-                    if at is None:
-                        # the sums G_{0,j} and G_{1,j} of the node's two paths;
-                        # the root's second path starts at the child
-                        at, tg = R, lifted[0][-1]
-                        if p:
-                            (g0, g1, g2, g3), (h0, h1, h2, h3) = _binomial_sums(lifted, binomials, n - R)
-                            th = lifted[1][-1]
-                        else:
-                            ((g0, g1, g2, g3),) = _binomial_sums(lifted, binomials, n - R)
-                            h0, h1, h2, h3 = pascal[R + 1][:4]
-                            th = 0
-                    for _ in range(R - at):
-                        g3 += g2
-                        g2 += g1
-                        g1 += g0
-                        h3 += h2
-                        h2 += h1
-                        h1 += h0
-                    at = R
-                    x, y = pascal[R - p], pascal[R - q]
-                    d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]
-                    best = _pair_family(
-                        g0 + tg * d1, g1 + tg * d2, g2 + tg * d3, g3 + tg * d4,
-                        h0 + th * d1, h1 + th * d2, h2 + th * d3, h3 + th * d4,
-                        q, end, r - q, pascal, best, winners, (q, path),
-                    )
-                    leaves += end - q + 1
-                continue
+        # of its children's leaves, taken from the last, so that R never falls
+        if k == 2:
+            at = None
+            for q in range(split, first - 1, -1):
+                end = min((r - q) // 2, r - q - d - 3)
+                R = r - q - end + 2
+                if at is None:
+                    # the sums G_{0,j} and G_{1,j} of the node's two paths
+                    (g0, g1, g2, g3), (h0, h1, h2, h3) = _binomial_sums(lifted, binomials, n - R)
+                    at, tg, th = R, lifted[0][-1], lifted[1][-1]
+                for _ in range(R - at):
+                    g1, g2, g3 = g1 + g0, g2 + g1, g3 + g2
+                    h1, h2, h3 = h1 + h0, h2 + h1, h3 + h2
+                at = R
+                x, y = pascal[R - p], pascal[R - q]
+                d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]
+                best = _pair_family(
+                    g0 + tg * d1, g1 + tg * d2, g2 + tg * d3, g3 + tg * d4,
+                    h0 + th * d1, h1 + th * d2, h2 + th * d3, h3 + th * d4,
+                    q, end, r - q, pascal, best, winners, (q, path),
+                )
+                leaves += end - q + 1
+        else:
             ell, sums = len(lifted), None
             for q in range(split, first - 1, -1):
                 end = min((r - q) // 2, r - q - d - 3)
@@ -276,38 +305,14 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
                 ws += _binomial_paths(pascal[R + ell], ell, k)
                 best = _chain_family(ws, q, end, r - q, pascal, best, winners, (q, path))
                 leaves += end - q + 1
-            continue
-        lifted, total = _row_step(counts)
-        sums = list(accumulate(lifted))
-        tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
-        if not p:  # the root's first child puts one part on it
-            tc += total
-            c0 += tc
-            c1 += c0
-        kids = []
-        for q in range(first, split + 1):
-            grown = lifted + [total] * (q - p)
-            # strict, so a subtree that can tie the best is still scored
-            if sum(map(mul, grown, bounds[r - q][q])) >= best:
-                end = min((r - q) // 2, r - q - d - 3)
-                best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
-                leaves += end - q + 1
-                if q <= deep:
-                    kids.append(((q, path), grown, q, d + 1, r - q))
-            tc += total
-            c0 += tc
-            c1 += c0
-        # the smallest q is popped first
-        stack += reversed(kids)
-    winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
-    return best, winners, leaves
+    return best, leaves
 
 
 def _bound_table(n: int) -> list[list[list[int]]]:
     """B[r][p][y], 0 <= y <= p <= r // 2, r <= n: an upper bound on
     A_nu(y), the fillings y <= v_1 <= ... <= v_m with v_i <= nu_i, over
     every nu |- r with parts at least max(p, 1), read from the smallest
-    (see ``_scan_maxima``).  Row r takes the max over the bottom part q
+    (see ``_scan_bounded``).  Row r takes the max over the bottom part q
     from r // 2 down, so B[r][p] is the running max once q = p, and
     p = 0 admits the parts p = 1 does."""
     table = []
@@ -346,7 +351,7 @@ def _binomial_paths(row: list[int], ell: int, k: int) -> list[list[int]]:
     """The family vectors of the sources ell..k-1 that a node with ell
     lifted vectors has not started, in the family of one of its children,
     from row = C(R + ell, .) for that family's first leaf: slices of the
-    row shifted right by s - ell (see ``_scan_maxima``)."""
+    row shifted right by s - ell (see ``_scan_chains``)."""
     return [[0] * (s - ell) + row[: k + ell + 2 - s] for s in range(ell, k)]
 
 
@@ -414,9 +419,9 @@ def _pair_family(
 
 
 def _family(
-    total: int,
-    tc: int,
-    c0: int,
+    T: int,
+    t: int,
+    c: int,
     part: int,
     last: int,
     rest: int,
@@ -425,13 +430,14 @@ def _family(
     path,
 ) -> int:
     """Score the leaves that put one part q, part <= q <= last, over the
-    linked ``path`` of a node with total ``total`` and all of rest - q on
-    top, given the total tc and sum c0 of the lifted vector for q = part;
+    linked ``path`` of a family node and all of rest - q on top, given the
+    total T of the node's lifted vector (T' in ``_scan_bounded``) and the
+    total t and sum c of the lifted vector of its first leaf, q = part;
     records winners as ``_keep`` does and returns the new best.  Each leaf
-    costs two additions and a comparison (see ``_scan_maxima``)."""
-    value = c0 + (rest - 2 * part) * tc
-    step = total * (rest - 2 * part - 1) - tc
-    fall = 3 * total
+    costs two additions and a comparison."""
+    value = c + (rest - 2 * part) * t
+    step = T * (rest - 2 * part - 1) - t
+    fall = 3 * T
     for q in range(part, last + 1):
         if value >= best:
             best = _keep(value, best, winners, rest - q, (q, path))
@@ -498,10 +504,14 @@ def check_scan(n: int, k: int, cap: int) -> None:
     below 1 raises ValueError; k^2 (n + 2) past ``DEFAULT_STATE_CAP``, or
     p(n) past cap, raises ResourceLimitError.
 
-    The widest profile window over the partitions of n is n + 1, that of
-    (n), so the first cap, one column wider, keeps every count the scan
-    makes inside a chain count's own cap.  p is increasing, so tabulating
-    it stops at the first value past cap.
+    The first cap is a chain count's own, k^2 times the window, taken one
+    column wider than (n)'s, the widest over the partitions of n.  The
+    scan makes no chain count (its root's leaf is C(n + k, k), every
+    other leaf is scored in closed form), so the cap now only keeps its
+    binomial tables, about k (n + k) entries, and its k x k matrices
+    small: it bounds neither the scan's work nor its time (ROADMAP.md,
+    "Caps that bound time").  p is increasing, so tabulating it stops at
+    the first value past cap.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

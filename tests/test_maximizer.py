@@ -99,9 +99,9 @@ def test_scan_scores_every_leaf_once(k):
 @pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12), (6, 12)])
 def test_scan_scores_every_leaf_exactly(k, top):
     # a _keep that never raises the best records every leaf the scan scores,
-    # the root's through counting._weak_chains and the rest in closed form;
-    # each is checked against a route of its own: the bridge column DP at
-    # k = 1, the binomial determinant beyond
+    # the root's as C(n + k, k) and the rest in closed form; each is checked
+    # against a route of its own: the bridge column DP at k = 1, the
+    # binomial determinant beyond
     keep, scored = maximizer._keep, []
 
     def record(value, best, winners, top, path):
@@ -145,7 +145,7 @@ def _nodes_with_grandchildren(n):
 def test_scan_pushes_only_nodes_with_grandchildren(k):
     # one lift per popped node: the root and the children with
     # grandchildren; every leaf is scored by its grandparent, the root's
-    # own by counting._weak_chains and its children's as the root's family
+    # own as C(n + k, k) and its children's as the root's family
     # (k = 1 prunes: test_bounded_scan_counts_at_n45)
     step, pops = maximizer._lift, []
 
@@ -180,17 +180,17 @@ def test_bounded_scan_prunes_only_below_the_best():
     # checked in test_bound_table_is_admissible
     family, scored = maximizer._family, []
 
-    def walked(total, tc, c0, part, last, rest, best, winners, path):
+    def walked(T, t, c, part, last, rest, best, winners, path):
         below, link = [], path
         while link is not None:
             q, link = link
             below.append(q)
         scored.extend((rest - q, q, *below) for q in range(part, last + 1))
-        return family(total, tc, c0, part, last, rest, best, winners, path)
+        return family(T, t, c, part, last, rest, best, winners, path)
 
     with mock.patch.object(maximizer, "_family", walked):
         for n in range(1, 31):
-            scored[:] = [(n,)]  # the root's leaf, through counting._weak_chains
+            scored[:] = [(n,)]  # the root's leaf, C(n + 1, 1)
             best, _, leaves = _scan_maxima(n, 1)
             bounds = maximizer._bound_table(n)
             assert len(scored) == len(set(scored)) == leaves
@@ -236,11 +236,14 @@ def test_bound_table_is_admissible():
     assert (tight, loose) == (261, 124)
 
 
-@pytest.mark.parametrize("k, name, top", [(1, "maximizers_k1.txt", 80), (2, "maximizers_k2.txt", 45)])
+@pytest.mark.parametrize(
+    "k, name, top",
+    [(1, "maximizers_k1.txt", 80), (2, "maximizers_k2.txt", 45), (3, "maximizers_k3.txt", 30)],
+)
 def test_maximizers_pinned_in_file(k, name, top):
-    # frozen from the exhaustive scan; the bounded k = 1 scan and the k = 2
-    # scan's closed-form walk must find the same best count and every
-    # partition reaching it
+    # frozen from the exhaustive scan; the bounded k = 1 scan and the
+    # closed-form walks at k = 2 and 3 must find the same best count and
+    # every partition reaching it
     text = Path(__file__).with_name(name).read_text()
     lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
     assert [int(line[0]) for line in lines] == list(range(1, top + 1))
