@@ -127,7 +127,7 @@ def parse_partition(text: str) -> Partition:
     parts = []
     for token in text.split(","):
         token = token.strip()
-        if not token or not (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
+        if not token or not (token.isdecimal() or (token[0] == "-" and token[1:].isdecimal())):
             raise PartitionFormatError(f"bad part {token!r} in partition text {text!r}")
         parts.append(int(token))
     try:

@@ -51,7 +51,7 @@ from .ratefn import (
 )
 from .shapes import PiecewiseLinearShape, rescale
 
-# excess area of log(2 cosh x) over |x|; the square of 1/VERSHIK_BETA
+# excess area of log(2 cosh x) over |x|; the square of VERSHIK_BETA
 AREA_CONSTANT = math.pi**2 / 12.0
 
 # quadrature window: integrands decay like x * exp(-2x), so the tail past
@@ -68,65 +68,55 @@ class CheckResult(Record):
 
 class VerifyCaps(Record):
     order_pairs_n: int
-    area_n: int
-    conjugation_n: int
+    # every partition of n <= formula_n against a formula: its profile's
+    # area and steps, the envelope bound (k = 1) and the crude bound
+    formula_n: int
+    # every partition of n <= paired_n against a second object: its
+    # conjugate's profile and count, its bridges, its one-box extensions
+    paired_n: int
     enumeration_n: int
     envelope_trials: int
     rate_points: int
-    bridge_n: int
     brute_n: int
-    bound_n: int
     chain_bound_n: int
-    crude_n: int
-    monotonicity_n: int
-    pentagonal_n: int
-    closure_n: int
+    # every n up to sequence_n: p(n) against enumeration, and the growth
+    # of the k = 1 maximum
+    sequence_n: int
+    # the k = 1 argmax recounted partition by partition for n <= argmax_n,
+    # and the k = 2 one at n = argmax_n
+    argmax_n: int
     closure_chain_n: int
-    growth_n: int
     trend_ns: range
-    determinism_n: int
 
 
 FAST = VerifyCaps(
     order_pairs_n=6,
-    area_n=8,
-    conjugation_n=7,
+    formula_n=8,
+    paired_n=7,
     enumeration_n=15,
     envelope_trials=50,
     rate_points=200,
-    bridge_n=7,
     brute_n=5,
-    bound_n=8,
     chain_bound_n=6,
-    crude_n=8,
-    monotonicity_n=7,
-    pentagonal_n=12,
-    closure_n=10,
+    sequence_n=12,
+    argmax_n=10,
     closure_chain_n=8,
-    growth_n=12,
     trend_ns=range(15, 20),
-    determinism_n=10,
 )
 
 FULL = VerifyCaps(
     order_pairs_n=8,
-    area_n=12,
-    conjugation_n=10,
+    formula_n=12,
+    paired_n=10,
     enumeration_n=30,
     envelope_trials=200,
     rate_points=1000,
-    bridge_n=10,
     brute_n=8,
-    bound_n=12,
     chain_bound_n=10,
-    crude_n=12,
-    monotonicity_n=10,
-    pentagonal_n=30,
-    closure_n=20,
+    sequence_n=30,
+    argmax_n=20,
     closure_chain_n=20,
-    growth_n=30,
     trend_ns=range(25, 36),
-    determinism_n=20,
 )
 
 
@@ -159,28 +149,28 @@ def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 def check_profile_area(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
-    for lam in _all_partitions_upto(caps.area_n):
+    for lam in _all_partitions_upto(caps.formula_n):
         if profile(lam).excess_area() != 2 * lam.n:
             return False, f"area identity fails at {lam}"
         count += 1
-    return True, f"{count} profiles, n <= {caps.area_n}"
+    return True, f"{count} profiles, n <= {caps.formula_n}"
 
 
 def check_profile_steps(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
-    for lam in _all_partitions_upto(caps.area_n):
+    for lam in _all_partitions_upto(caps.formula_n):
         prof = profile(lam)
         if any(abs(d) != 1 for d in prof.increments()):
             return False, f"non-unit step at {lam}"
         if prof.heights[0] != abs(prof.lo) or prof.heights[-1] != abs(prof.hi):
             return False, f"endpoint mismatch at {lam}"
         count += 1
-    return True, f"{count} profiles, n <= {caps.area_n}"
+    return True, f"{count} profiles, n <= {caps.formula_n}"
 
 
 def check_conjugation_reflection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
-    for lam in _all_partitions_upto(caps.conjugation_n):
+    for lam in _all_partitions_upto(caps.paired_n):
         pl = profile(lam)
         pc = profile(conjugate(lam))
         span = max(abs(pl.lo), pl.hi, abs(pc.lo), pc.hi)
@@ -188,7 +178,7 @@ def check_conjugation_reflection(caps: VerifyCaps, rng) -> tuple[bool, str]:
             if pl.value(j) != pc.value(-j):
                 return False, f"reflection fails at {lam}, j={j}"
         count += 1
-    return True, f"{count} partitions, n <= {caps.conjugation_n}"
+    return True, f"{count} partitions, n <= {caps.paired_n}"
 
 
 def check_enumeration_count(caps: VerifyCaps, rng) -> tuple[bool, str]:
@@ -513,13 +503,13 @@ def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 def check_bridge_bijection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
-    for lam in _all_partitions_upto(caps.bridge_n):
+    for lam in _all_partitions_upto(caps.paired_n):
         a = count_subpartitions(lam).value
         b = count_bridges_below(profile(lam)).value
         if a != b:
             return False, f"bridges {b} != subpartitions {a} at {lam}"
         count += 1
-    return True, f"{count} partitions, n <= {caps.bridge_n}"
+    return True, f"{count} partitions, n <= {caps.paired_n}"
 
 
 def check_counting_brute_force(caps: VerifyCaps, rng) -> tuple[bool, str]:
@@ -555,16 +545,16 @@ def check_macmahon_box(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 def check_count_conjugation(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    for lam in _all_partitions_upto(caps.conjugation_n):
+    for lam in _all_partitions_upto(caps.paired_n):
         if count_subpartitions(lam).value != count_subpartitions(conjugate(lam)).value:
             return False, f"conjugation changes count at {lam}"
-    return True, f"n <= {caps.conjugation_n}"
+    return True, f"n <= {caps.paired_n}"
 
 
 def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Log of every count stays under the envelope bound; k-chains under k
     times it."""
-    for lam in _all_partitions_upto(caps.bound_n):
+    for lam in _all_partitions_upto(caps.formula_n):
         bound = envelope_count_bound(profile(lam))
         if math.log(count_subpartitions(lam).value) > bound.log_value + 1e-9:
             return False, f"bound violated at {lam}"
@@ -572,21 +562,21 @@ def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
         bound = envelope_count_bound(profile(lam))
         if math.log(count_kchains(lam, 2).value) > 2 * bound.log_value + 1e-9:
             return False, f"2-chain bound violated at {lam}"
-    return True, f"n <= {caps.bound_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
+    return True, f"n <= {caps.formula_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
 
 
 def check_crude_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    for lam in _all_partitions_upto(caps.crude_n):
+    for lam in _all_partitions_upto(caps.formula_n):
         if lam.n == 0:
             continue
         if count_subpartitions(lam).value > (lam.n + 1) * partition_count(lam.n).value:
             return False, f"crude bound violated at {lam}"
-    return True, f"n <= {caps.crude_n}"
+    return True, f"n <= {caps.formula_n}"
 
 
 def check_count_monotonicity(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Adding any single box strictly increases the subpartition count."""
-    for lam in _all_partitions_upto(caps.monotonicity_n):
+    for lam in _all_partitions_upto(caps.paired_n):
         base = count_subpartitions(lam).value
         parts = list(lam.parts)
         for i in range(len(parts) + 1):
@@ -599,11 +589,11 @@ def check_count_monotonicity(caps: VerifyCaps, rng) -> tuple[bool, str]:
                 continue
             if count_subpartitions(Partition(tuple(grown))).value <= base:
                 return False, f"no strict growth from {lam} at row {i}"
-    return True, f"n <= {caps.monotonicity_n}"
+    return True, f"n <= {caps.paired_n}"
 
 
 def check_pentagonal(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    for n in range(caps.pentagonal_n + 1):
+    for n in range(caps.sequence_n + 1):
         by_enum = sum(1 for _ in enumerate_partitions(n))
         if partition_count(n).value != by_enum:
             return False, f"iterative p({n}) wrong"
@@ -613,7 +603,7 @@ def check_pentagonal(caps: VerifyCaps, rng) -> tuple[bool, str]:
     b = oracles.pentagonal_memoized(100)
     if a != b or a != 190569292:
         return False, f"p(100): iterative {a}, memoized {b}"
-    return True, f"n <= {caps.pentagonal_n} vs enumeration; p(100) = {a} twice"
+    return True, f"n <= {caps.sequence_n} vs enumeration; p(100) = {a} twice"
 
 
 def check_hr_exponent(caps: VerifyCaps, rng) -> tuple[bool, str]:
@@ -658,7 +648,7 @@ def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """The argmax over every partition counted on its own is
     conjugation-closed, and it is the scan's set, which only visits
     lam_1 >= len(lam) and so is closed by construction."""
-    for k, top in ((1, caps.closure_n), (2, caps.closure_chain_n)):
+    for k, top in ((1, caps.argmax_n), (2, caps.closure_chain_n)):
         for n in range(1, top + 1):
             best, winners = oracles.scan_maximizers(n, k)
             have = set(winners)
@@ -669,20 +659,20 @@ def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
                 return False, f"k={k} scan argmax differs from per-partition argmax at n={n}"
     return True, (
         "per-partition argmax closed and equal to the scan's, "
-        f"k=1 n <= {caps.closure_n}, k=2 n <= {caps.closure_chain_n}"
+        f"k=1 n <= {caps.argmax_n}, k=2 n <= {caps.closure_chain_n}"
     )
 
 
 def check_maximizer_growth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     prev = 0
-    for n in range(1, caps.growth_n + 1):
+    for n in range(1, caps.sequence_n + 1):
         report = find_maximizers(n, 1)
         if report.max_count.value <= prev:
             return False, f"max count not strictly increasing at n={n}"
         prev = report.max_count.value
         if report.exponent >= report.hr_reference:
             return False, f"exponent gap closed at n={n}"
-    return True, f"strictly increasing with positive exponent gap, n <= {caps.growth_n}"
+    return True, f"strictly increasing with positive exponent gap, n <= {caps.sequence_n}"
 
 
 def check_limit_shape_trend(caps: VerifyCaps, rng) -> tuple[bool, str]:
@@ -732,7 +722,7 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 def check_csv_determinism(caps: VerifyCaps, rng) -> tuple[bool, str]:
     # the k = 2 CSV of the streamed scan against one from per-partition counts
-    n = caps.determinism_n
+    n = caps.argmax_n
     streamed = render.reports_csv([find_maximizers(n, 2)])
     counted = render.reports_csv([maximizer_report(n, 2, *oracles.scan_maximizers(n, 2))])
     if streamed.encode() != counted.encode():

@@ -1,0 +1,187 @@
+"""Mutation checks: small edits to the source that some test must catch.
+
+    python tests/mutants.py
+
+Each mutant names a file under src/, an exact old text that occurs there
+once, the new text, why the change is wrong, and the test files (pytest
+targets) that must catch it.  For each mutant the script copies src/ and
+tests/ into a temporary directory, makes the edit in the copy, and runs the
+mutant's tests there with ``pytest -x``, one pytest process at a time and
+each under a timeout.  A mutant is killed when pytest reports a failure or
+a collection error, or runs past the timeout.  Before the mutants, the
+unedited copy must pass every listed target.
+
+The run exits 1 when a mutant survives, when a mutant's old text is gone
+or occurs more than once (a change that moves the code must update this
+list), or when pytest ends in any other way.  Tier-1 does not collect this
+file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 60.0
+VERDICTS = {"failed": "killed", "timeout": "killed (timeout)", "passed": "SURVIVED"}
+
+VERIFY = "src/subpart/verify.py"
+MAXIMIZER = "src/subpart/maximizer.py"
+GOLDEN_FAST = ["tests/test_cli.py::test_output_matches_golden_bytes"]
+GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
+SCAN = ["tests/test_maximizer.py"]
+
+# (file, old text, new text, why, pytest targets)
+MUTANTS = [
+    (VERIFY, "formula_n=8,", "formula_n=7,", "FAST formula sweep one smaller", GOLDEN_FAST),
+    (VERIFY, "paired_n=7,", "paired_n=6,", "FAST paired sweep one smaller", GOLDEN_FAST),
+    (VERIFY, "sequence_n=12,", "sequence_n=11,", "FAST sequence sweep one smaller", GOLDEN_FAST),
+    (VERIFY, "argmax_n=10,", "argmax_n=9,", "FAST argmax sweep one smaller", GOLDEN_FAST),
+    (VERIFY, "formula_n=12,", "formula_n=11,", "FULL formula sweep one smaller", GOLDEN_FULL),
+    (VERIFY, "paired_n=10,", "paired_n=9,", "FULL paired sweep one smaller", GOLDEN_FULL),
+    (VERIFY, "sequence_n=30,", "sequence_n=29,", "FULL sequence sweep one smaller", GOLDEN_FULL),
+    (VERIFY, "argmax_n=20,", "argmax_n=19,", "FULL argmax sweep one smaller", GOLDEN_FULL),
+    (
+        MAXIMIZER,
+        "stack = [(None, [1, 0], 1, 0, n)]",
+        "stack = [(None, [1, 1], 1, 0, n)]",
+        "k = 1 root's counts [1, 0] become [1, 1]",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "stack = [(None, [1, 0], 1, 0, n)]",
+        "stack = [(None, [1, 0], 0, 0, n)]",
+        "k = 1 root's part 1 becomes 0",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "[[0, 1], [1, -1]] if k == 2 else",
+        "[[0, 1], [2, -1]] if k == 2 else",
+        "k = 2 root's second path [1, -1] becomes [2, -1]",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "[[0, 1], [1, -1]] if k == 2 else",
+        "[[0, 1], [0, 1]] if k == 2 else",
+        "k = 2 root's second path [1, -1] becomes [0, 1]",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "_pair_family(*ws[0], *ws[1], 1, last,",
+        "_pair_family(*ws[1], *ws[0], 1, last,",
+        "k = 2 root family's two paths swapped",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "ws = _binomial_paths(pascal[n - last + 2], 0, k)",
+        "ws = _binomial_paths(pascal[n - last + 1], 0, k)",
+        "k >= 2 root family read one Pascal row low",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "if last > 0:",
+        "if last > 1:",
+        "k >= 2 root family skipped at n = 3, where it holds (2, 1) alone",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "bounds[r - q][q])) >= best:",
+        "bounds[r - q][q])) > best:",
+        "k = 1 bound test prunes subtrees that can tie the best",
+        SCAN,
+    ),
+    (
+        "src/subpart/partitions.py",
+        'token.isdecimal() or (token[0] == "-" and token[1:].isdecimal())',
+        'token.isdigit() or (token[0] == "-" and token[1:].isdigit())',
+        "parse screens with isdigit, which admits digits int() rejects",
+        ["tests/test_partitions.py"],
+    ),
+]
+
+
+def old_text_problems() -> list[str]:
+    """One line per mutant whose old text is not in its file exactly once."""
+    problems = []
+    for path, old, _new, why, _targets in MUTANTS:
+        found = (ROOT / path).read_text().count(old)
+        if found != 1:
+            problems.append(f"{path}: old text {old!r} occurs {found} times ({why})")
+    return problems
+
+
+def copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+
+
+def run_pytest(where: Path, targets: list[str]) -> tuple[str, float]:
+    """('passed' | 'failed' | 'timeout' | 'exit <code>', seconds) of one
+    pytest process in ``where``, killed with its whole process group on
+    timeout."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets]
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        argv, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        code = proc.wait(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout", time.perf_counter() - start
+    # pytest exits 1 on a failed test and 2 on a collection error; 3, 4
+    # and 5 (internal error, bad usage, nothing collected) say nothing
+    # about the mutant
+    outcome = {0: "passed", 1: "failed", 2: "failed"}.get(code, f"exit {code}")
+    return outcome, time.perf_counter() - start
+
+
+def main() -> int:
+    problems = old_text_problems()
+    for line in problems:
+        print(f"STALE     {line}")
+    if problems:
+        return 1
+    targets = sorted({t for *_, ts in MUTANTS for t in ts})
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        outcome, seconds = run_pytest(base, targets)
+        print(f"baseline  {outcome} in {seconds:.1f}s: {' '.join(targets)}")
+        if outcome != "passed":
+            return 1
+        bad = 0
+        for i, (path, old, new, why, targets) in enumerate(MUTANTS):
+            where = Path(tmp) / f"mutant{i}"
+            copy_tree(where)
+            target = where / path
+            target.write_text(target.read_text().replace(old, new))
+            outcome, seconds = run_pytest(where, targets)
+            shutil.rmtree(where)
+            word = VERDICTS.get(outcome, f"ERROR (pytest {outcome})")
+            print(f"{word:<9} {seconds:5.1f}s  {path}: {why}")
+            bad += not word.startswith("killed")
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,6 +194,15 @@ def test_exit_code_parse_errors(capsys):
     assert run_cli(capsys, "pn", "-5")[0] == 2
 
 
+def test_count_reads_decimal_digits_only(capsys):
+    # a superscript two is a digit to str.isdigit but not to int()
+    for text, part in (("\u00b2", "\u00b2"), ("3,-\u00b2", "-\u00b2")):
+        assert cli.main(["count", text]) == 2
+        assert capsys.readouterr().err == f"error: bad part {part!r} in partition text {text!r}\n"
+    # Arabic-Indic 3,1
+    assert run_cli(capsys, "count", "\u0663,\u0661") == (0, "7\n")
+
+
 def test_exit_code_resource(capsys):
     assert run_cli(capsys, "maximize", "--n", "40", "--cap", "10")[0] == 3
 

@@ -37,9 +37,12 @@ def test_parse_and_format_round_trip():
     for text in ["4,2,1", "1", "10,10,3", ""]:
         assert format_partition(parse_partition(text)) == text
     assert parse_partition(" 3 , 1 ") == Partition((3, 1))
+    # Arabic-Indic three and one, decimal digits that int() reads
+    assert parse_partition("\u0663,\u0661") == Partition((3, 1))
 
 
-@pytest.mark.parametrize("bad", ["1,2", "a", "2,,1", "0", "3,-1", ","])
+# a superscript two is a digit to str.isdigit but not to int()
+@pytest.mark.parametrize("bad", ["1,2", "a", "2,,1", "0", "3,-1", ",", "\u00b2", "3,-\u00b2"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(PartitionFormatError):
         parse_partition(bad)

@@ -30,6 +30,7 @@ def test_named_constants():
     assert VERSHIK_HEIGHT == pytest.approx(0.7643041388456882, abs=1e-15)
     assert FUNCTIONAL_MAX == pytest.approx(math.pi / math.sqrt(3.0), abs=0)
     assert AREA_CONSTANT == pytest.approx(math.pi**2 / 12.0, abs=0)
+    assert AREA_CONSTANT == pytest.approx(VERSHIK_BETA**2)
 
 
 def test_log_cosh():

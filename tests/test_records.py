@@ -16,10 +16,9 @@ from subpart.shapes import PiecewiseLinearShape
 from subpart.verify import FAST, CheckResult, VerifyCaps
 
 CAPS_FIELDS = (
-    "order_pairs_n", "area_n", "conjugation_n", "enumeration_n", "envelope_trials",
-    "rate_points", "bridge_n", "brute_n", "bound_n", "chain_bound_n", "crude_n",
-    "monotonicity_n", "pentagonal_n", "closure_n", "closure_chain_n", "growth_n",
-    "trend_ns", "determinism_n",
+    "order_pairs_n", "formula_n", "paired_n", "enumeration_n", "envelope_trials",
+    "rate_points", "brute_n", "chain_bound_n", "sequence_n", "argmax_n",
+    "closure_chain_n", "trend_ns",
 )
 TENT = PiecewiseLinearShape(((-1.0, 1.0), (0.0, 1.5), (1.0, 1.0)))
 COUNT = CountResult(19, "row-dp", {"partition": "4,2,1"})

@@ -40,6 +40,13 @@ def test_full_suite_passes(full_run):
     assert failures == []
 
 
+def test_full_level_matches_golden(full_run):
+    # golden_verify_full.txt holds verify --level full's text lines without
+    # their seconds, so that a changed FULL size fails here
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in full_run.values()]
+    assert "".join(lines) == (Path(__file__).parent / "golden_verify_full.txt").read_text()
+
+
 def test_suite_is_deterministic_per_seed():
     a = run_verification("fast", seed=99)
     b = run_verification("fast", seed=99)
