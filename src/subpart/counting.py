@@ -15,9 +15,9 @@ the result is the same.  The maximizer scan shares ``_lift`` and
 ``_leading_minors`` but builds its own matrices in closed form.
 A column DP over bridge paths below the profile counts subpartitions
 through a different bijection; it and the reference implementations in
-``subpart.oracles`` (among them the column transfer DP over nested
-height tuples and the len(lam) x len(lam) binomial determinant)
-cross-check the row route.  Bounds derived from the profile's convex
+``subpart.oracles`` (among them chains enumerated up the containment
+poset and the len(lam) x len(lam) binomial determinant) cross-check
+the row route.  Bounds derived from the profile's convex
 envelope are carried in log space.
 """
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .counting import count_kchains
 from .envelope import DiscreteFunction
-from .partitions import LatticeProfile, Partition, profile
+from .partitions import LatticeProfile, Partition
 
 
 def enumerate_partitions(n):
@@ -74,29 +74,10 @@ def is_subpartition(mu, lam):
     return all(m <= l for m, l in zip(mu, lam))
 
 
-def brute_chain_count(parts, k, strict=False):
-    """Count nested k-tuples mu_k <= ... <= mu_1 <= lam by direct
-    enumeration over the subpartition list."""
-    subs = brute_subpartitions(parts)
-    total = 0
-    for chain in product(subs, repeat=k):
-        ok = True
-        for upper, lower in zip(chain, chain[1:]):
-            if not is_subpartition(lower, upper):
-                ok = False
-                break
-            if strict and upper == lower:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
-
-
 def poset_chain_count(parts, k, strict=False):
-    """The same count as brute_chain_count, summed level by level over the
-    containment poset of the subpartitions instead of over all k-tuples;
-    much faster at the sizes ``verify --level full`` reaches."""
+    """Count nested k-tuples mu_k <= ... <= mu_1 <= lam (consecutive ones
+    distinct when strict) by enumeration: over the subpartition list,
+    level by level up the containment poset, so no k-tuple is listed."""
     subs = brute_subpartitions(parts)
     below = {mu: [nu for nu in subs if is_subpartition(nu, mu)] for mu in subs}
     level = {mu: 1 for mu in subs}
@@ -106,31 +87,6 @@ def poset_chain_count(parts, k, strict=False):
             for mu in subs
         }
     return sum(level.values())
-
-
-def transfer_chain_count(parts, k):
-    """Weak k-chains below lam by a column transfer DP over nested k-tuples
-    of bridge heights: the state at column j is the weakly decreasing
-    tuple of the k bridges' heights, and every column tries all 2^k sign
-    steps.  Exponential in k; the package uses a k x k determinant."""
-    prof = profile(Partition(tuple(parts)))
-    start = (abs(prof.lo),) * k
-    ways = {start: 1}
-    signs = tuple(product((-1, 1), repeat=k))
-    for j in range(prof.lo + 1, prof.hi + 1):
-        ceiling = prof.value(j)
-        floor = abs(j)
-        new = {}
-        for heights, c in ways.items():
-            for step in signs:
-                nh = tuple(h + s for h, s in zip(heights, step))
-                if nh[0] > ceiling or nh[-1] < floor:
-                    continue
-                if any(a < b for a, b in zip(nh, nh[1:])):
-                    continue
-                new[nh] = new.get(nh, 0) + c
-        ways = new
-    return ways.get((abs(prof.hi),) * k, 1 if prof.lo == prof.hi else 0)
 
 
 def binomial_chain_count(parts, k):
@@ -173,7 +129,7 @@ def scan_maximizers(n, k):
     package's scan builds the same Gessel-Viennot matrices while it streams
     row-DP vectors down a tree of partitions, so this checks the traversal
     (the tree, its pruning and the conjugates added); the count itself is
-    pinned by the transfer-DP and binomial-determinant property tests."""
+    pinned by the binomial-determinant property tests."""
     counts = {parts: count_kchains(Partition(parts), k).value for parts in enumerate_partitions(n)}
     best = max(counts.values())
     return best, [parts for parts, c in counts.items() if c == best]

@@ -34,9 +34,14 @@ VERDICTS = {"failed": "killed", "timeout": "killed (timeout)", "passed": "SURVIV
 
 VERIFY = "src/subpart/verify.py"
 MAXIMIZER = "src/subpart/maximizer.py"
+COUNTING = "src/subpart/counting.py"
+ORACLES = "src/subpart/oracles.py"
 GOLDEN_FAST = ["tests/test_cli.py::test_output_matches_golden_bytes"]
 GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
 SCAN = ["tests/test_maximizer.py"]
+PROPERTIES = ["tests/test_properties.py"]
+# a chain-count DP mutant runs under the property tests and verify's full-level golden
+CHAINS = PROPERTIES + GOLDEN_FULL
 
 # (file, old text, new text, why, pytest targets)
 MUTANTS = [
@@ -103,6 +108,132 @@ MUTANTS = [
         "bounds[r - q][q])) > best:",
         "k = 1 bound test prunes subtrees that can tie the best",
         SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "fall = 3 * T",
+        "fall = 2 * T",
+        "k = 1 family's second difference 3T becomes 2T",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "* (b3 - b0 * c3) - (a3 - a0 * c3) *",
+        "* (b3 - b0 * c3) + (a3 - a0 * c3) *",
+        "k = 2 leaf scores ad + bc for ad - bc",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "a3 += a2\n        a2 += a1\n        a1 += a0",
+        "a1 += a0\n        a2 += a1\n        a3 += a2",
+        "k = 2 family's Pascal step run bottom-up, adding new sums for old",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "w[1:] = map(add, w[1:], w)",
+        "w[2:] = map(add, w[2:], w[1:])",
+        "k >= 3 Pascal step leaves w[1] unmoved",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "[0] * (s - ell) + row[: k + ell + 2 - s]",
+        "[0] * (s - ell + 1) + row[: k + ell + 1 - s]",
+        "k >= 2 binomial paths shifted one place right",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "if value > best:",
+        "if value >= best:",
+        "_keep drops the winners on a tie",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "if k * k * (n + 2) > DEFAULT_STATE_CAP:",
+        "if k * k * n > DEFAULT_STATE_CAP:",
+        "check_scan's cap taken on a window two columns narrow",
+        SCAN + ["tests/test_cli.py"],
+    ),
+    (
+        COUNTING,
+        "return max(1, min(c, len(parts) - k + 1))",
+        "return max(1, c)",
+        "_cut unclamped, so sources can lie above the cut",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "reversed(parts[1:])",
+        "reversed(parts[2:])",
+        "_walk skips the row below the cut",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "[hi - q :]",
+        "[hi - q + 1 :]",
+        "_sinks truncates each suffix sum one entry short",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "sum(h[:cut])",
+        "sum(h[: cut - 1])",
+        "_sinks' tail sums miss their last entry",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "math.comb(r - p, t + 1)",
+        "math.comb(r - p, t)",
+        "c = 1 tail sums C(r - p, t) for C(r - p, t + 1)",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "initial=math.comb(r - hi, t)",
+        "initial=math.comb(r - hi + 1, t)",
+        "_sinks' Pascal columns start one row high",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "math.comb(r + ell, ell - s + t)",
+        "math.comb(r + ell, ell - s + t + 1)",
+        "_chain_matrix's rows of sources below lam one column off",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "[1] * (p + s + 1)",
+        "[1] * (p + s)",
+        "_lift starts a source path one column short",
+        CHAINS,
+    ),
+    (
+        COUNTING,
+        "v[-1] * tail",
+        "v[0] * tail",
+        "_chain_matrix weighs the tail by a vector's first entry, not its total",
+        CHAINS,
+    ),
+    (
+        ORACLES,
+        "for _ in range(k - 1):",
+        "for _ in range(k):",
+        "poset_chain_count sums one level too many",
+        GOLDEN_FULL,
+    ),
+    (
+        ORACLES,
+        "Fraction(comb(parts[i] + k, k + i - j)",
+        "Fraction(comb(parts[i] + k - 1, k + i - j)",
+        "binomial_chain_count's entries for chains one shorter",
+        PROPERTIES,
     ),
     (
         "src/subpart/partitions.py",

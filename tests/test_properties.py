@@ -1,9 +1,10 @@
 """Property tests: the boundary-walk profile against the diagonal count,
 the row DP against the bridge DP and brute force, the chain determinant
-against the transfer DP and the binomial determinant, on generated
-partitions, the k = 1 scan's leaf-family walk against its closed form,
-and the k = 2 walk on ints against the generic k x k one.  Derandomized,
-so every run draws the same cases."""
+against the binomial determinant (many small partitions at k <= 4, and
+larger ones up to k = 8), on generated partitions, the k = 1 scan's
+leaf-family walk against its closed form, and the k = 2 walk on ints
+against the generic k x k one.  Derandomized, so every run draws the
+same cases."""
 
 import math
 from unittest import mock
@@ -43,15 +44,15 @@ def test_row_dp_matches_brute_force(parts):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_partitions(6, 6), st.integers(1, 4), st.booleans())
-def test_chain_determinant_matches_transfer_dp(parts, k, strict):
+def test_small_chain_determinant_matches_binomial_determinant(parts, k, strict):
     got = count_kchains(Partition(parts), k, strict=strict).value
     if strict:
         want = sum(
-            (-1) ** (k - m) * math.comb(k - 1, m - 1) * oracles.transfer_chain_count(parts, m)
+            (-1) ** (k - m) * math.comb(k - 1, m - 1) * oracles.binomial_chain_count(parts, m)
             for m in range(1, k + 1)
         )
     else:
-        want = oracles.transfer_chain_count(parts, k)
+        want = oracles.binomial_chain_count(parts, k)
     assert got == want
 
 
@@ -94,7 +95,7 @@ def test_chain_count_pinned_cases():
         staircase_60, 50
     )
     hook = (100,) + (1,) * 100
-    assert count_kchains(Partition(hook), 2).value == oracles.transfer_chain_count(hook, 2)
+    assert count_kchains(Partition(hook), 2).value == oracles.binomial_chain_count(hook, 2)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
