@@ -17,7 +17,10 @@ ordinary node of it.  At k = 1, ``_scan_bounded`` is a branch and bound:
 four running sums walk each family by second differences, and a table
 of upper bounds on what the rows still to be placed can contribute
 (``_bound_table``) lets a node skip each child whose subtree cannot
-reach the best count found so far; ties are never skipped.  At k >= 2,
+reach the best count found so far, and stop testing children once one
+bound, taken at the node, puts every later child below that best; ties
+are never skipped, and from n = 20 the best starts at the count of the
+partition read off Vershik's limit curve.  At k >= 2,
 ``_scan_chains`` scores every leaf as the determinant of its k x k
 Gessel-Viennot matrix, from binomial sums it moves from leaf to leaf by
 Pascal's rule (at k = 2, eight ints per node and ad - bc per leaf, with
@@ -40,6 +43,7 @@ from .counting import (
     _lift,
     _partition_numbers,
     _row_step,
+    _weak_chains,
 )
 from .partitions import (
     DEFAULT_SCAN_CAP,
@@ -55,6 +59,14 @@ from .ratefn import VershikCurve, shape_functional
 from .shapes import PiecewiseLinearShape, rescale, sup_distance
 
 HR_RATE = math.pi * math.sqrt(2.0 / 3.0)
+
+# ``_scan_bounded`` seeds its best count only from n = 20 on.  Per scan,
+# the best of 7 rounds of 50 in process on a shared 2-core Xeon (Python
+# 3.11.7), seeded against unseeded: 42 against 26 us at n = 8, 192
+# against 183 us at n = 18, 233 against 236 us at n = 20 and 388 against
+# 419 us at n = 24; ``verify --level fast`` runs 44 of its 45 k = 1
+# scans below n = 20
+_SEED_FROM = 20
 
 
 class MaximizerReport(Record):
@@ -109,8 +121,8 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     0..n, C(n + k, k) of them.  Its children's leaves (n - q, q),
     1 <= q <= last = min(n // 2, n - 2), are the family of the root's
     children, which the kernel scores before its walk: ``_scan_bounded``,
-    a branch and bound, at k = 1, and ``_scan_chains``, exhaustive, at
-    k >= 2.
+    a branch and bound seeded from Vershik's curve, at k = 1, and
+    ``_scan_chains``, exhaustive, at k >= 2.
     """
     last = min(n // 2, n - 2)
     winners = []
@@ -165,8 +177,29 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
     the best is still scored, and the winners are those of the exhaustive
     scan.  Children are pushed so that the smallest q is popped first,
     which raises best early.
+
+    A child that fails its test can end the loop.  The node's own counts
+    give grown[v] = sum_{y <= min(v, p)} counts[y], so child q' tests
+    sum_y counts[y] sum_{v=y}^{q'} B[r - q'][q'][v], and as B[r][q] takes
+    the max of those inner sums over every q' >= q, the test of each child
+    q' >= q is at most U(q) = sum_y counts[y] B[r][q][y].  So once a child
+    q fails and U(q) < best, no later child passes, and the loop breaks.
+    Only tests are skipped: the pops and leaves are those of the full loop.
+
+    Before the walk, best is raised to the count of one partition of n
+    read off Vershik's curve, which the paper proves the maximizers
+    approach (``_seed``); at 20 <= n <= 100 it is 0.85 to 1.0 of the
+    largest count M(n).  The seed counts a leaf, or a leaf's conjugate, so
+    best <= M(n) still, every ancestor of a winner has a bound of at least
+    M(n) and passes the test, which keeps ties, and the winners are those
+    of the unseeded walk.  The winners found before the seed are dropped
+    only when the seed is larger, as they then count less than best.
     """
     best = _family(1, 2, 3, 1, last, n, best, winners, None)
+    seed = _seed(n)
+    if seed > best:
+        winners.clear()
+        best = seed
     bounds, leaves = _bound_table(n), 0
     # a node: its path, the counts of its top row, its largest part, its
     # number of parts, the rest of n
@@ -188,12 +221,48 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
                 leaves += end - q + 1
                 if q <= deep:
                     kids.append(((q, path), grown, q, d + 1, r - q))
+            elif sum(map(mul, counts, bounds[r][q])) < best:
+                # U(q) bounds the test of every later child
+                break
             tc += total
             c0 += tc
             c1 += c0
         # the smallest q is popped first
         stack += reversed(kids)
     return best, leaves
+
+
+def _seed(n: int) -> int:
+    """The subpartition count of the partition of n read off Vershik's
+    curve (``_curve_parts``), a lower bound on the best count that
+    ``_scan_bounded`` starts from; 0 below ``_SEED_FROM``."""
+    if n < _SEED_FROM:
+        return 0
+    return _weak_chains(_curve_parts(n), 1)[0]
+
+
+def _curve_parts(n: int) -> tuple[int, ...]:
+    """The partition of n nearest Vershik's curve: row i, 1 <= i <= n, is
+    the curve's row length at height i - 1/2 (``_curve_rows``) scaled so
+    that the rows sum to n, floored, and the boxes left over go one each
+    to the rows with the largest remainders; the rows are then sorted and
+    zeros dropped."""
+    lengths = _curve_rows(n, [i - 0.5 for i in range(1, n + 1)])
+    scale = n / sum(lengths)
+    scaled = [scale * f for f in lengths]
+    rows = [int(f) for f in scaled]
+    spare = n - sum(rows)
+    for i in sorted(range(n), key=lambda i: rows[i] - scaled[i])[:spare]:
+        rows[i] += 1
+    return tuple(sorted(filter(None, rows), reverse=True))
+
+
+def _curve_rows(n: int, at: list[float]) -> list[float]:
+    """Vershik's limit curve for partitions of n, e^(-c a) + e^(-c f) = 1
+    with c = pi / sqrt(6 n): the length f(a) = -log(1 - e^(-c a)) / c of
+    the row at height a, for each a in ``at``."""
+    c = math.pi / math.sqrt(6 * n)
+    return [-math.log1p(-math.exp(-c * a)) / c for a in at]
 
 
 def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, ...]]) -> tuple[int, int]:

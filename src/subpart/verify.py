@@ -526,7 +526,7 @@ def check_counting_brute_force(caps: VerifyCaps, rng) -> tuple[bool, str]:
                 if got != expected:
                     return False, (
                         f"chain count mismatch at {lam}, k={k}, strict={strict}: "
-                        f"transfer {got}, poset {expected}"
+                        f"determinant {got}, poset {expected}"
                     )
         count += 1
     return True, f"{count} partitions, n <= {caps.brute_n}, k <= 3"

@@ -111,6 +111,41 @@ MUTANTS = [
     ),
     (
         MAXIMIZER,
+        "elif sum(map(mul, counts, bounds[r][q])) < best:",
+        "else:",
+        "k = 1 child loop breaks at the first child that fails its bound",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "elif sum(map(mul, counts, bounds[r][q])) < best:",
+        "elif sum(map(mul, counts, bounds[r - q][q])) < best:",
+        "k = 1 suffix bound U read from the child's row of the table",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "_SEED_FROM = 20",
+        "_SEED_FROM = 10**9",
+        "k = 1 scan never seeded",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "if seed > best:\n        winners.clear()\n",
+        "if seed > best:\n",
+        "k = 1 seed keeps the winners below it",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "spare = n - sum(rows)",
+        "spare = n + 1 - sum(rows)",
+        "k = 1 seed counts a partition of n + 1",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
         "fall = 3 * T",
         "fall = 2 * T",
         "k = 1 family's second difference 3T becomes 2T",

@@ -15,7 +15,7 @@ from subpart.maximizer import (
     shape_report,
 )
 from subpart.partitions import Partition, ResourceLimitError, profile
-from subpart.ratefn import FUNCTIONAL_MAX
+from subpart.ratefn import FUNCTIONAL_MAX, VershikCurve
 
 
 def test_ground_truth_n4():
@@ -98,10 +98,10 @@ def test_scan_scores_every_leaf_once(k):
 
 @pytest.mark.parametrize("k, top", [(1, 30), (2, 16), (3, 16), (4, 14), (5, 12), (6, 12)])
 def test_scan_scores_every_leaf_exactly(k, top):
-    # a _keep that never raises the best records every leaf the scan scores,
-    # the root's as C(n + k, k) and the rest in closed form; each is checked
-    # against a route of its own: the bridge column DP at k = 1, the
-    # binomial determinant beyond
+    # a _keep that never raises the best, and at k = 1 a seed of 0, record
+    # every leaf the scan scores, the root's as C(n + k, k) and the rest in
+    # closed form; each is checked against a route of its own: the bridge
+    # column DP at k = 1, the binomial determinant beyond
     keep, scored = maximizer._keep, []
 
     def record(value, best, winners, top, path):
@@ -115,7 +115,8 @@ def test_scan_scores_every_leaf_exactly(k, top):
             return count_bridges_below(profile(Partition(parts))).value
         return oracles.binomial_chain_count(parts, k)
 
-    with mock.patch.object(maximizer, "_keep", record):
+    seedless = mock.patch.object(maximizer, "_seed", lambda n: 0)
+    with mock.patch.object(maximizer, "_keep", record), seedless:
         for n in range(1, top + 1):
             scored.clear()
             _scan_maxima(n, k)
@@ -236,19 +237,60 @@ def test_bound_table_is_admissible():
     assert (tight, loose) == (261, 124)
 
 
+def test_bound_table_suffix_break_premise():
+    # B[r][q][y] bounds sum_{v=y}^{q'} B[r - q'][q'][v] for every q' >= q,
+    # so the bound U(q) of a child that fails its test bounds the tests of
+    # all later children, and _scan_bounded may stop there
+    table = maximizer._bound_table(40)
+    cases = 0
+    for r in range(41):
+        for q in range(1, r // 3 + 1):
+            for later in range(q, r // 3 + 1):
+                above = table[r - later][later]
+                for y in range(q + 1):
+                    assert table[r][q][y] >= sum(above[y : later + 1]), (r, q, later, y)
+                    cases += 1
+    assert cases == 6279
+
+
+@pytest.mark.parametrize("n", [20, 45, 100])
+def test_seed_rows_lie_on_the_limit_curve(n):
+    # the seed's closed form is Vershik's curve: the end of a row of length
+    # f(a) at height a is the profile point (f - a, f + a), which rescale
+    # scales by 1 / sqrt(2n)
+    at = [0.05 * i for i in range(1, 20 * n)]
+    curve, s = VershikCurve(), math.sqrt(2 * n)
+    for a, f in zip(at, maximizer._curve_rows(n, at)):
+        assert curve.value((f - a) / s) == pytest.approx((f + a) / s, abs=1e-12)
+
+
+def test_seed_is_a_partition_below_the_best():
+    # the seed counts a partition of n, so it never passes M(n), and the
+    # curve puts it within a fifth of M(n)
+    text = Path(__file__).with_name("maximizers_k1.txt").read_text()
+    lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    best = {int(n): int(value) for n, value, *_ in lines}
+    for n in range(20, 101):
+        parts = maximizer._curve_parts(n)
+        assert sum(parts) == n and min(parts) >= 1
+        assert list(parts) == sorted(parts, reverse=True)
+        assert 0.8 * best[n] <= maximizer._seed(n) <= best[n]
+
+
 @pytest.mark.parametrize(
     "k, name, top",
-    [(1, "maximizers_k1.txt", 80), (2, "maximizers_k2.txt", 45), (3, "maximizers_k3.txt", 30)],
+    [(1, "maximizers_k1.txt", 100), (2, "maximizers_k2.txt", 45), (3, "maximizers_k3.txt", 30)],
 )
 def test_maximizers_pinned_in_file(k, name, top):
-    # frozen from the exhaustive scan; the bounded k = 1 scan and the
-    # closed-form walks at k = 2 and 3 must find the same best count and
-    # every partition reaching it
+    # frozen from the exhaustive scan (k = 1 from n = 81: from the unseeded
+    # branch and bound); the seeded k = 1 scan and the closed-form walks at
+    # k = 2 and 3 must find the same best count and every partition
+    # reaching it
     text = Path(__file__).with_name(name).read_text()
     lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
     assert [int(line[0]) for line in lines] == list(range(1, top + 1))
     for n, value, *winners in lines:
-        report = find_maximizers(int(n), k, cap=20_000_000)
+        report = find_maximizers(int(n), k, cap=200_000_000)
         assert report.max_count.value == int(value)
         assert report.maximizers == tuple(
             Partition(tuple(map(int, w.split(",")))) for w in winners
@@ -257,7 +299,7 @@ def test_maximizers_pinned_in_file(k, name, top):
 
 def test_bounded_scan_counts_at_n45():
     # one row step per popped node; the exhaustive scan scored 46,767
-    # leaves in 3,204 pops
+    # leaves in 3,204 pops, the unseeded branch and bound 11,056 in 876
     step, pops = maximizer._row_step, []
 
     def counted(*args):
@@ -265,8 +307,8 @@ def test_bounded_scan_counts_at_n45():
         return step(*args)
 
     with mock.patch.object(maximizer, "_row_step", counted):
-        assert _scan_maxima(45, 1)[2] == 11056
-    assert len(pops) == 876
+        assert _scan_maxima(45, 1)[2] == 8423
+    assert len(pops) == 679
 
 
 def test_chain_maximizer_counts_match_direct():

@@ -3,6 +3,7 @@ import os
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +78,19 @@ def test_sabotage_fails_only_its_check(monkeypatch, attr, sabotaged, check):
     results = run_verification("fast", seed=2718)
     failed = {r.name for r in results if not r.passed}
     assert failed == {check}
+
+
+def test_chain_count_mismatch_names_the_determinant(monkeypatch):
+    # the package counts chains by the Gessel-Viennot determinant alone
+    real = verify.count_kchains
+
+    def off_by_one(lam, k, strict=False):
+        return SimpleNamespace(value=real(lam, k, strict=strict).value + 1)
+
+    monkeypatch.setattr(verify, "count_kchains", off_by_one)
+    passed, detail = verify.check_counting_brute_force(FAST, random.Random(0))
+    assert not passed
+    assert detail == "chain count mismatch at , k=1, strict=False: determinant 2, poset 1"
 
 
 def test_unknown_level_rejected():
