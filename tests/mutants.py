@@ -36,10 +36,12 @@ VERIFY = "src/subpart/verify.py"
 MAXIMIZER = "src/subpart/maximizer.py"
 COUNTING = "src/subpart/counting.py"
 ORACLES = "src/subpart/oracles.py"
+PARTITIONS = "src/subpart/partitions.py"
 GOLDEN_FAST = ["tests/test_cli.py::test_output_matches_golden_bytes"]
 GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
 SCAN = ["tests/test_maximizer.py"]
 PROPERTIES = ["tests/test_properties.py"]
+RECORDS = ["tests/test_records.py"]
 # a chain-count DP mutant runs under the property tests and verify's full-level golden
 CHAINS = PROPERTIES + GOLDEN_FULL
 
@@ -167,6 +169,48 @@ MUTANTS = [
     ),
     (
         MAXIMIZER,
+        "g1 + g0 + tg * e2 - ug * z1,",
+        "g1 + tg * e2 - ug * z1,",
+        "k = 2 child's derived sum G'_0 drops the node's G_0 term",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "ug, uh = g0 + (q - p) * tg,",
+        "ug, uh = g0 + (q - p + 1) * tg,",
+        "k = 2 child's derived total takes one extension too many",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "push = min(deep, r // 5, (r - d - 5) // 4)",
+        "push = min(deep, r // 4, (r - d - 5) // 4)",
+        "k = 2 pushes children that push nothing (pops rise, leaves stay)",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "push = min(deep, r // 5, (r - d - 5) // 4)",
+        "push = min(deep, r // 6, (r - d - 5) // 4)",
+        "k = 2 derives children that push, losing their subtrees' leaves",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "for q in range(max(first, push + 1), deep + 1):",
+        "for q in range(push + 1, deep + 1):",
+        "k = 2 derives children below the node's own part",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
+        "g3 + m * g2 + c2 * g1 + c3 * g0",
+        "g3 + m * g2 + c2 * g1",
+        "k = 2 Vandermonde step drops its C(m, 3) term",
+        SCAN,
+    ),
+    (
+        MAXIMIZER,
         "w[1:] = map(add, w[1:], w)",
         "w[2:] = map(add, w[2:], w[1:])",
         "k >= 3 Pascal step leaves w[1] unmoved",
@@ -271,7 +315,49 @@ MUTANTS = [
         PROPERTIES,
     ),
     (
-        "src/subpart/partitions.py",
+        PARTITIONS,
+        "if len(args) > len(fields):",
+        "if False:",
+        "Record.__init__ drops its surplus-positional check",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "if f in values or f not in fields:",
+        "if f not in fields:",
+        "Record.__init__ drops its repeated-name check",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "if f in values or f not in fields:",
+        "if f in values:",
+        "Record.__init__ drops its unknown-name check",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "if len(values) < len(fields):",
+        "if False:",
+        "Record.__init__ drops its missing-field check",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        'cls._fields += tuple(cls.__dict__.get("__annotations__", ()))',
+        'cls._fields = tuple(cls.__dict__.get("__annotations__", ())) + cls._fields',
+        "a Record subclass puts its own fields first",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "fields, name = self._fields, self.__class__.__qualname__",
+        'fields, name = self._fields, "__init__"',
+        "Record.__init__'s errors leave out the class name",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
         'token.isdecimal() or (token[0] == "-" and token[1:].isdecimal())',
         'token.isdigit() or (token[0] == "-" and token[1:].isdigit())',
         "parse screens with isdigit, which admits digits int() rejects",

@@ -1,10 +1,13 @@
 import math
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subpart import maximizer, oracles
 from subpart.counting import count_bridges_below, count_kchains
@@ -128,27 +131,34 @@ def test_scan_scores_every_leaf_exactly(k, top):
             assert sorted(scored) == sorted(want)
 
 
-def _nodes_with_grandchildren(n):
+def _nodes_with_descendants(n, generations):
     # the scan's tree: a node placed d parts up to p with r left, and its
-    # children add q, p <= q <= min(r // 2, r - d - 2)
+    # children add q, p <= q <= min(r // 2, r - d - 2); counts the nodes
+    # other than the root that have descendants that many generations down
     def children(p, d, r):
         return [(q, d + 1, r - q) for q in range(p or 1, min(r // 2, r - d - 2) + 1)]
+
+    def reaches(node, depth):
+        return depth == 0 or any(reaches(kid, depth - 1) for kid in children(*node))
 
     found, stack = 0, [(0, 0, n)]
     while stack:
         kids = children(*stack.pop())
         stack += kids
-        found += sum(1 for kid in kids if any(children(*g) for g in children(*kid)))
+        found += sum(1 for kid in kids if reaches(kid, generations))
     return found
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_scan_pushes_only_nodes_with_grandchildren(k):
-    # one lift per popped node: the root and the children with
-    # grandchildren; every leaf is scored by its grandparent, the root's
-    # own as C(n + k, k) and its children's as the root's family
+    # one lift per popped node: the root and the nodes with grandchildren,
+    # at k = 2 only those whose children have grandchildren; every leaf is
+    # scored by its grandparent, the root's own as C(n + k, k) and its
+    # children's as the root's family, and at k = 2 a child none of whose
+    # children has grandchildren is scored by its parent from derived sums
     # (k = 1 prunes: test_bounded_scan_counts_at_n45)
     step, pops = maximizer._lift, []
+    generations = 3 if k == 2 else 2
 
     def counted(*args):
         pops.append(args)
@@ -158,11 +168,43 @@ def test_scan_pushes_only_nodes_with_grandchildren(k):
         for n in range(1, 31):
             pops.clear()
             _scan_maxima(n, k)
-            assert len(pops) == 1 + _nodes_with_grandchildren(n)
+            assert len(pops) == 1 + _nodes_with_descendants(n, generations)
         if k == 2:
+            assert 1 + _nodes_with_descendants(28, 3) == 81
             pops.clear()
             assert _scan_maxima(45, k)[2] == 46767
-            assert len(pops) == 3204
+            assert len(pops) == 1 + _nodes_with_descendants(45, 3) == 1238
+
+
+@st.composite
+def _child_cases(draw):
+    # a k = 2 node's two lifted vectors, x = -1..p, a child q >= p and a
+    # base at least q
+    p = draw(st.integers(0, 25))
+    ints = st.lists(st.integers(-(10**6), 10**6), min_size=p + 2, max_size=p + 2)
+    vectors = [draw(ints), draw(ints)]
+    q = draw(st.integers(p, p + 20))
+    return vectors, p, q, draw(st.integers(q, q + 30))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_child_cases())
+def test_child_sums_match_the_childs_own_vectors(case):
+    # the sums derived at the node equal the dot products over the
+    # vectors the child lifts, L_s extended by T_s to q, and their totals
+    vectors, p, q, base = case
+    pascal = [[math.comb(m, j) for j in range(6)] for m in range(base + 2)]
+
+    def sums(v, size):
+        return tuple(
+            sum(c * math.comb(base - x, j) for x, c in enumerate(v, start=-1)) for j in range(size)
+        )
+
+    child = [list(accumulate(v + [v[-1]] * (q - p))) for v in vectors]
+    got = maximizer._child_sums(
+        sums(vectors[0], 5), sums(vectors[1], 5), vectors[0][-1], vectors[1][-1], p, q, base, pascal
+    )
+    assert got == (sums(child[0], 4), sums(child[1], 4), child[0][-1], child[1][-1])
 
 
 def _row_counts(rows):
