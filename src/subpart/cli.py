@@ -11,8 +11,9 @@ help, an unknown command or no command builds the full tree of all
 seven, so every help and usage text reads as it would from the full tree.
 Start-up loads only ``render``, ``counting`` and what they import:
 ``maximizer`` (with ``shapes`` and ``ratefn``) is imported by the first
-scan, ``verify`` and ``svgplot`` only when their command runs, each
-through a module-level forwarder below.
+scan, with only the kernel that the scan runs (``scan_bounded`` at
+k = 1, ``scan_chains`` at k >= 2), and ``verify`` and ``svgplot`` only
+when their command runs, each through a module-level forwarder below.
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
 error, 3 resource cap exceeded, 4 output I/O failure.
 """

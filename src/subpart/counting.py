@@ -11,8 +11,10 @@ so neither half adds integers as wide as the count.  When both halves
 are large the sink half runs in one forked child while the row DP runs
 here (``_in_two``, which also runs half of ``verify``'s checks); without
 ``os.fork``, or with other threads running, both halves run here, and
-the result is the same.  The maximizer scan shares ``_lift`` and
-``_leading_minors`` but builds its own matrices in closed form.
+the result is the same.  The maximizer scan's k >= 2 kernel
+(``scan_chains``) shares ``_lift`` and ``_leading_minors`` but builds
+its own matrices in closed form; its k = 1 kernel (``scan_bounded``)
+shares ``_row_step``.
 A column DP over bridge paths below the profile counts subpartitions
 through a different bijection; it and the reference implementations in
 ``subpart.oracles`` (among them chains enumerated up the containment

@@ -29,6 +29,10 @@ from itertools import islice
 from typing import Callable
 
 from . import oracles, render
+# the maximizer checks run in the half that ``run_verification`` forks, and
+# a module that a child imports is gone with it: load both scan kernels
+# here, once per process, not once per run in every child
+from . import scan_bounded, scan_chains
 from .counting import (
     _in_two,
     _partition_numbers,

@@ -34,6 +34,9 @@ VERDICTS = {"failed": "killed", "timeout": "killed (timeout)", "passed": "SURVIV
 
 VERIFY = "src/subpart/verify.py"
 MAXIMIZER = "src/subpart/maximizer.py"
+SCAN_BOUNDED = "src/subpart/scan_bounded.py"
+SCAN_CHAINS = "src/subpart/scan_chains.py"
+CLI = "src/subpart/cli.py"
 COUNTING = "src/subpart/counting.py"
 ORACLES = "src/subpart/oracles.py"
 PARTITIONS = "src/subpart/partitions.py"
@@ -42,6 +45,9 @@ GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
 SCAN = ["tests/test_maximizer.py"]
 PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
+CLI_TESTS = ["tests/test_cli.py"]
+KERNEL_LOADS = ["tests/test_cli.py::test_command_loads_only_the_kernels_it_runs"]
+PARTITIONS_TESTS = ["tests/test_partitions.py"]
 # a chain-count DP mutant runs under the property tests and verify's full-level golden
 CHAINS = PROPERTIES + GOLDEN_FULL
 
@@ -56,168 +62,168 @@ MUTANTS = [
     (VERIFY, "sequence_n=30,", "sequence_n=29,", "FULL sequence sweep one smaller", GOLDEN_FULL),
     (VERIFY, "argmax_n=20,", "argmax_n=19,", "FULL argmax sweep one smaller", GOLDEN_FULL),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "stack = [(None, [1, 0], 1, 0, n)]",
         "stack = [(None, [1, 1], 1, 0, n)]",
         "k = 1 root's counts [1, 0] become [1, 1]",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "stack = [(None, [1, 0], 1, 0, n)]",
         "stack = [(None, [1, 0], 0, 0, n)]",
         "k = 1 root's part 1 becomes 0",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "[[0, 1], [1, -1]] if k == 2 else",
         "[[0, 1], [2, -1]] if k == 2 else",
         "k = 2 root's second path [1, -1] becomes [2, -1]",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "[[0, 1], [1, -1]] if k == 2 else",
         "[[0, 1], [0, 1]] if k == 2 else",
         "k = 2 root's second path [1, -1] becomes [0, 1]",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "_pair_family(*ws[0], *ws[1], 1, last,",
         "_pair_family(*ws[1], *ws[0], 1, last,",
         "k = 2 root family's two paths swapped",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "ws = _binomial_paths(pascal[n - last + 2], 0, k)",
         "ws = _binomial_paths(pascal[n - last + 1], 0, k)",
         "k >= 2 root family read one Pascal row low",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "if last > 0:",
         "if last > 1:",
         "k >= 2 root family skipped at n = 3, where it holds (2, 1) alone",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "bounds[r - q][q])) >= best:",
         "bounds[r - q][q])) > best:",
         "k = 1 bound test prunes subtrees that can tie the best",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "elif sum(map(mul, counts, bounds[r][q])) < best:",
         "else:",
         "k = 1 child loop breaks at the first child that fails its bound",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "elif sum(map(mul, counts, bounds[r][q])) < best:",
         "elif sum(map(mul, counts, bounds[r - q][q])) < best:",
         "k = 1 suffix bound U read from the child's row of the table",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "_SEED_FROM = 20",
         "_SEED_FROM = 10**9",
         "k = 1 scan never seeded",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "if seed > best:\n        winners.clear()\n",
         "if seed > best:\n",
         "k = 1 seed keeps the winners below it",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "spare = n - sum(rows)",
         "spare = n + 1 - sum(rows)",
         "k = 1 seed counts a partition of n + 1",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_BOUNDED,
         "fall = 3 * T",
         "fall = 2 * T",
         "k = 1 family's second difference 3T becomes 2T",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "* (b3 - b0 * c3) - (a3 - a0 * c3) *",
         "* (b3 - b0 * c3) + (a3 - a0 * c3) *",
         "k = 2 leaf scores ad + bc for ad - bc",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "a3 += a2\n        a2 += a1\n        a1 += a0",
         "a1 += a0\n        a2 += a1\n        a3 += a2",
         "k = 2 family's Pascal step run bottom-up, adding new sums for old",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "g1 + g0 + tg * e2 - ug * z1,",
         "g1 + tg * e2 - ug * z1,",
         "k = 2 child's derived sum G'_0 drops the node's G_0 term",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "ug, uh = g0 + (q - p) * tg,",
         "ug, uh = g0 + (q - p + 1) * tg,",
         "k = 2 child's derived total takes one extension too many",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "push = min(deep, r // 5, (r - d - 5) // 4)",
         "push = min(deep, r // 4, (r - d - 5) // 4)",
         "k = 2 pushes children that push nothing (pops rise, leaves stay)",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "push = min(deep, r // 5, (r - d - 5) // 4)",
         "push = min(deep, r // 6, (r - d - 5) // 4)",
         "k = 2 derives children that push, losing their subtrees' leaves",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "for q in range(max(first, push + 1), deep + 1):",
         "for q in range(push + 1, deep + 1):",
         "k = 2 derives children below the node's own part",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "g3 + m * g2 + c2 * g1 + c3 * g0",
         "g3 + m * g2 + c2 * g1",
         "k = 2 Vandermonde step drops its C(m, 3) term",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "w[1:] = map(add, w[1:], w)",
         "w[2:] = map(add, w[2:], w[1:])",
         "k >= 3 Pascal step leaves w[1] unmoved",
         SCAN,
     ),
     (
-        MAXIMIZER,
+        SCAN_CHAINS,
         "[0] * (s - ell) + row[: k + ell + 2 - s]",
         "[0] * (s - ell + 1) + row[: k + ell + 1 - s]",
         "k >= 2 binomial paths shifted one place right",
@@ -235,7 +241,51 @@ MUTANTS = [
         "if k * k * (n + 2) > DEFAULT_STATE_CAP:",
         "if k * k * n > DEFAULT_STATE_CAP:",
         "check_scan's cap taken on a window two columns narrow",
-        SCAN + ["tests/test_cli.py"],
+        SCAN + CLI_TESTS,
+    ),
+    (
+        MAXIMIZER,
+        "_find_maximizers = find_maximizers\n",
+        "_find_maximizers = find_maximizers\n\nfrom .scan_chains import _scan_chains\n",
+        "maximizer imports the k >= 2 kernel at load, so a k = 1 scan loads both",
+        KERNEL_LOADS,
+    ),
+    (
+        VERIFY,
+        "from . import scan_bounded, scan_chains",
+        "from . import oracles",
+        "verify leaves the scan kernels to its forked half, which compiles them every run",
+        KERNEL_LOADS,
+    ),
+    (
+        CLI,
+        'names, metavar = [command], "{" + ",".join(COMMANDS) + "}"',
+        "names, metavar = [command], None",
+        "a lone command's parser leaves the subparsers' metavar unset",
+        CLI_TESTS,
+    ),
+    (
+        CLI,
+        "args = build_parser(argv[0] if argv else None).parse_args(argv)",
+        "args = build_parser().parse_args(argv)",
+        "main always builds the full tree",
+        CLI_TESTS,
+    ),
+    (
+        CLI,
+        '    "shape": ("SVG of the maximizer shape against the limit curve", _shape_flags),\n'
+        '    "verify": ("run the self-verification suites", _verify_flags),\n',
+        '    "verify": ("run the self-verification suites", _verify_flags),\n'
+        '    "shape": ("SVG of the maximizer shape against the limit curve", _shape_flags),\n',
+        "verify moved before shape in the command order",
+        CLI_TESTS,
+    ),
+    (
+        CLI,
+        '_scan_flags(p, ("text", "json"))\n    p.add_argument("--n", type=int, required=True)',
+        'p.add_argument("--n", type=int, required=True)\n    _scan_flags(p, ("text", "json"))',
+        "shape adds --n before the shared flags",
+        CLI_TESTS,
     ),
     (
         COUNTING,
@@ -315,6 +365,13 @@ MUTANTS = [
         PROPERTIES,
     ),
     (
+        ORACLES,
+        "for part in range(min(remaining, max_part), 0, -1):",
+        "for part in range(1, min(remaining, max_part) + 1):",
+        "enumerate_partitions yields in increasing lexicographic order",
+        PARTITIONS_TESTS,
+    ),
+    (
         PARTITIONS,
         "if len(args) > len(fields):",
         "if False:",
@@ -361,7 +418,7 @@ MUTANTS = [
         'token.isdecimal() or (token[0] == "-" and token[1:].isdecimal())',
         'token.isdigit() or (token[0] == "-" and token[1:].isdigit())',
         "parse screens with isdigit, which admits digits int() rejects",
-        ["tests/test_partitions.py"],
+        PARTITIONS_TESTS,
     ),
 ]
 

@@ -459,6 +459,8 @@ COMMAND_ONLY_MODULES = (
     "subpart.oracles",
     "subpart.svgplot",
     "subpart.maximizer",
+    "subpart.scan_bounded",
+    "subpart.scan_chains",
     "subpart.ratefn",
     "subpart.shapes",
     "xml.etree.ElementTree",
@@ -498,17 +500,48 @@ def test_count_and_pn_load_neither_the_scan_nor_dataclasses(argv, out):
     code = (
         "import sys; before = set(sys.modules); from subpart import cli; "
         f"code = cli.main({argv!r}); "
-        "print(code, [m for m in ('subpart.maximizer', 'dataclasses') "
-        "if m in sys.modules and m not in before])"
+        "print(code, [m for m in ('subpart.maximizer', 'subpart.scan_bounded', "
+        "'subpart.scan_chains', 'dataclasses') if m in sys.modules and m not in before])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{out}0 []\n"
 
 
-# a scan and a bound import maximizer and ratefn on first use; in process
-# another test has usually imported them already, so run each cold once
-@pytest.mark.parametrize("argv", [["maximize", "--n", "12", "--format", "csv"], ["bound", "4,2,1"]])
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["maximize", "--n", "12"], ["subpart.scan_bounded"]),
+        (["maximize", "--n", "12", "--k", "2"], ["subpart.scan_chains"]),
+        (["verify"], ["subpart.scan_bounded", "subpart.scan_chains"]),
+    ],
+)
+def test_command_loads_only_the_kernels_it_runs(argv, loaded):
+    # the branch of _scan_maxima that runs a kernel imports its module: the
+    # branch and bound at k = 1, the chain walk at k >= 2; verify, whose
+    # scans run in its forked half, loads both here before it forks
+    code = (
+        "import sys; from subpart import cli; "
+        f"code = cli.main({argv!r}); "
+        "print(code, [m for m in ('subpart.scan_bounded', 'subpart.scan_chains') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded!r}"
+
+
+# a scan and a bound import maximizer and ratefn on first use, and a scan
+# its kernel; in process another test has usually imported them already, so
+# run each cold once
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximize", "--n", "12", "--format", "csv"],
+        ["bound", "4,2,1"],
+        ["maximize", "--n", "12", "--k", "2", "--format", "csv"],
+    ],
+)
 def test_cold_lazy_commands_match_in_process(argv, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "subpart.cli", *argv], capture_output=True, text=True

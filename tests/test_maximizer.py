@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpart import maximizer, oracles
+from subpart import maximizer, oracles, scan_bounded, scan_chains
 from subpart.counting import count_bridges_below, count_kchains
 from subpart.maximizer import (
     HR_RATE,
@@ -118,8 +118,14 @@ def test_scan_scores_every_leaf_exactly(k, top):
             return count_bridges_below(profile(Partition(parts))).value
         return oracles.binomial_chain_count(parts, k)
 
-    seedless = mock.patch.object(maximizer, "_seed", lambda n: 0)
-    with mock.patch.object(maximizer, "_keep", record), seedless:
+    # the frame scores the root's leaf, each kernel the rest, each through
+    # the _keep its module binds
+    with (
+        mock.patch.object(maximizer, "_keep", record),
+        mock.patch.object(scan_bounded, "_keep", record),
+        mock.patch.object(scan_chains, "_keep", record),
+        mock.patch.object(scan_bounded, "_seed", lambda n: 0),
+    ):
         for n in range(1, top + 1):
             scored.clear()
             _scan_maxima(n, k)
@@ -157,14 +163,14 @@ def test_scan_pushes_only_nodes_with_grandchildren(k):
     # children's as the root's family, and at k = 2 a child none of whose
     # children has grandchildren is scored by its parent from derived sums
     # (k = 1 prunes: test_bounded_scan_counts_at_n45)
-    step, pops = maximizer._lift, []
+    step, pops = scan_chains._lift, []
     generations = 3 if k == 2 else 2
 
     def counted(*args):
         pops.append(args)
         return step(*args)
 
-    with mock.patch.object(maximizer, "_lift", counted):
+    with mock.patch.object(scan_chains, "_lift", counted):
         for n in range(1, 31):
             pops.clear()
             _scan_maxima(n, k)
@@ -201,7 +207,7 @@ def test_child_sums_match_the_childs_own_vectors(case):
         )
 
     child = [list(accumulate(v + [v[-1]] * (q - p))) for v in vectors]
-    got = maximizer._child_sums(
+    got = scan_chains._child_sums(
         sums(vectors[0], 5), sums(vectors[1], 5), vectors[0][-1], vectors[1][-1], p, q, base, pascal
     )
     assert got == (sums(child[0], 4), sums(child[1], 4), child[0][-1], child[1][-1])
@@ -221,7 +227,7 @@ def test_bounded_scan_prunes_only_below_the_best():
     # run of its bottom rows is a node whose bound, over every way to stack
     # the rest of n on it, is below the final best; the table's bounds are
     # checked in test_bound_table_is_admissible
-    family, scored = maximizer._family, []
+    family, scored = scan_bounded._family, []
 
     def walked(T, t, c, part, last, rest, best, winners, path):
         below, link = [], path
@@ -231,11 +237,11 @@ def test_bounded_scan_prunes_only_below_the_best():
         scored.extend((rest - q, q, *below) for q in range(part, last + 1))
         return family(T, t, c, part, last, rest, best, winners, path)
 
-    with mock.patch.object(maximizer, "_family", walked):
+    with mock.patch.object(scan_bounded, "_family", walked):
         for n in range(1, 31):
             scored[:] = [(n,)]  # the root's leaf, C(n + 1, 1)
             best, _, leaves = _scan_maxima(n, 1)
-            bounds = maximizer._bound_table(n)
+            bounds = scan_bounded._bound_table(n)
             assert len(scored) == len(set(scored)) == leaves
             kept = set(scored)
             for lam in oracles.enumerate_partitions(n):
@@ -264,7 +270,7 @@ def _fillings_above(nu, y):
 def test_bound_table_is_admissible():
     # B[r][p][y] is at least the fillings of every nu |- r with parts at
     # least max(p, 1); the frozen counts say how often it is tight
-    table = maximizer._bound_table(18)
+    table = scan_bounded._bound_table(18)
     tight = loose = 0
     for r in range(19):
         assert len(table[r]) == r // 2 + 1
@@ -283,7 +289,7 @@ def test_bound_table_suffix_break_premise():
     # B[r][q][y] bounds sum_{v=y}^{q'} B[r - q'][q'][v] for every q' >= q,
     # so the bound U(q) of a child that fails its test bounds the tests of
     # all later children, and _scan_bounded may stop there
-    table = maximizer._bound_table(40)
+    table = scan_bounded._bound_table(40)
     cases = 0
     for r in range(41):
         for q in range(1, r // 3 + 1):
@@ -302,7 +308,7 @@ def test_seed_rows_lie_on_the_limit_curve(n):
     # scales by 1 / sqrt(2n)
     at = [0.05 * i for i in range(1, 20 * n)]
     curve, s = VershikCurve(), math.sqrt(2 * n)
-    for a, f in zip(at, maximizer._curve_rows(n, at)):
+    for a, f in zip(at, scan_bounded._curve_rows(n, at)):
         assert curve.value((f - a) / s) == pytest.approx((f + a) / s, abs=1e-12)
 
 
@@ -313,10 +319,10 @@ def test_seed_is_a_partition_below_the_best():
     lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
     best = {int(n): int(value) for n, value, *_ in lines}
     for n in range(20, 101):
-        parts = maximizer._curve_parts(n)
+        parts = scan_bounded._curve_parts(n)
         assert sum(parts) == n and min(parts) >= 1
         assert list(parts) == sorted(parts, reverse=True)
-        assert 0.8 * best[n] <= maximizer._seed(n) <= best[n]
+        assert 0.8 * best[n] <= scan_bounded._seed(n) <= best[n]
 
 
 @pytest.mark.parametrize(
@@ -342,13 +348,13 @@ def test_maximizers_pinned_in_file(k, name, top):
 def test_bounded_scan_counts_at_n45():
     # one row step per popped node; the exhaustive scan scored 46,767
     # leaves in 3,204 pops, the unseeded branch and bound 11,056 in 876
-    step, pops = maximizer._row_step, []
+    step, pops = scan_bounded._row_step, []
 
     def counted(*args):
         pops.append(args)
         return step(*args)
 
-    with mock.patch.object(maximizer, "_row_step", counted):
+    with mock.patch.object(scan_bounded, "_row_step", counted):
         assert _scan_maxima(45, 1)[2] == 8423
     assert len(pops) == 679
 

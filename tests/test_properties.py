@@ -12,7 +12,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subpart import maximizer, oracles
+from subpart import oracles, scan_bounded, scan_chains
 from subpart.counting import count_bridges_below, count_kchains, count_subpartitions
 from subpart.partitions import Partition, conjugate, profile
 
@@ -118,8 +118,8 @@ def test_family_walk_matches_closed_form(total, s0, s1, base, lo, size, rest):
         return best
 
     tc, c0 = s0 + lo * total, s1 + lo * s0 + total * lo * (lo + 1) // 2
-    with mock.patch.object(maximizer, "_keep", keep):
-        maximizer._family(total, tc, c0, base + lo, base + lo + size, rest, -math.inf, [], "p")
+    with mock.patch.object(scan_bounded, "_keep", keep):
+        scan_bounded._family(total, tc, c0, base + lo, base + lo + size, rest, -math.inf, [], "p")
     want = [
         (
             s1 + j * s0 + total * j * (j + 1) // 2 + (rest - 2 * (base + j)) * (s0 + j * total),
@@ -150,11 +150,11 @@ def test_pair_walk_matches_generic_walk(ints, part, size, slack):
         seen.append((value, top, path))
         return best
 
-    with mock.patch.object(maximizer, "_keep", keep):
-        maximizer._pair_family(*ints, part, last, rest, pascal, -math.inf, [], "p")
+    with mock.patch.object(scan_chains, "_keep", keep):
+        scan_chains._pair_family(*ints, part, last, rest, pascal, -math.inf, [], "p")
         paired = seen[:]
         seen.clear()
         ws = [ints[:4], ints[4:]]
-        maximizer._chain_family(ws, part, last, rest, pascal, -math.inf, [], "p")
+        scan_chains._chain_family(ws, part, last, rest, pascal, -math.inf, [], "p")
     assert len(paired) == size + 1
     assert paired == seen
