@@ -13,8 +13,7 @@ here (``_in_two``, which also runs half of ``verify``'s checks); without
 ``os.fork``, or with other threads running, both halves run here, and
 the result is the same.  The maximizer scan's k >= 2 kernel
 (``scan_chains``) shares ``_lift`` and ``_leading_minors`` but builds
-its own matrices in closed form; its k = 1 kernel (``scan_bounded``)
-shares ``_row_step``.
+its own matrices in closed form.
 A column DP over bridge paths below the profile counts subpartitions
 through a different bijection; it and the reference implementations in
 ``subpart.oracles`` (among them chains enumerated up the containment
@@ -82,21 +81,6 @@ def count_subpartitions(lam: Partition) -> CountResult:
         method=ROW_DP,
         params={"partition": format_partition(lam)},
     )
-
-
-def _row_step(counts: list[int]) -> tuple[list[int], int]:
-    """One step of the row DP.
-
-    ``counts[v]`` counts the fillings of the current row (length p) and the
-    rows below it that put value v in the current row, 0 <= v <= p.
-    Returns the prefix sums ``lifted`` and their total T.  A row of any
-    length q >= p placed on top then has the counts
-    ``lifted + [T] * (q - p)``, so one step serves every choice of q, and
-    the partition capped by that row has ``sum(lifted) + (q - p) * T``
-    subpartitions.
-    """
-    lifted = list(accumulate(counts))
-    return lifted, lifted[-1]
 
 
 def count_bridges_below(prof: LatticeProfile) -> CountResult:
@@ -261,9 +245,9 @@ def _walk(parts: tuple[int, ...], k: int) -> list[list[int]]:
 
 def _lift(vectors: list[list[int]], p: int, k: int) -> list[list[int]]:
     """One row of the row DP at a node with s placed parts, the last of
-    them p: the prefix sums (``_row_step``) of the vectors of the paths
-    started so far, plus, when 0 < s < k, path s started with ones on
-    -s..p (s is then len(vectors)).  Vectors start at x = 1 - k."""
+    them p: the prefix sums of the vectors of the paths started so far,
+    plus, when 0 < s < k, path s started with ones on -s..p (s is then
+    len(vectors)).  Vectors start at x = 1 - k."""
     lifted = [list(accumulate(v)) for v in vectors]
     s = len(lifted)
     if p and s < k:

@@ -96,10 +96,6 @@ def csv_lines(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def reports_csv(reports: list[MaximizerReport]) -> str:
-    return csv_lines([MAXIMIZE_COLUMNS] + [report_row(r) for r in reports])
-
-
 def report_text(report: MaximizerReport) -> str:
     lines = [
         f"n {report.n}",

@@ -17,7 +17,7 @@ import math
 from itertools import accumulate
 from operator import mul
 
-from .counting import _row_step, _weak_chains
+from .counting import _weak_chains
 from .maximizer import _keep
 
 # ``_scan_bounded`` seeds its best count only from n = 20 on.  Per scan,
@@ -124,6 +124,21 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
         # the smallest q is popped first
         stack += reversed(kids)
     return best, leaves
+
+
+def _row_step(counts: list[int]) -> tuple[list[int], int]:
+    """One step of the row DP at a node of ``_scan_bounded``.
+
+    ``counts[v]`` counts the fillings of the current row (length p) and the
+    rows below it that put value v in the current row, 0 <= v <= p.
+    Returns the prefix sums ``lifted`` and their total T.  A row of any
+    length q >= p placed on top then has the counts
+    ``lifted + [T] * (q - p)``, so one step serves every choice of q, and
+    the partition capped by that row has ``sum(lifted) + (q - p) * T``
+    subpartitions.
+    """
+    lifted = list(accumulate(counts))
+    return lifted, lifted[-1]
 
 
 def _seed(n: int) -> int:

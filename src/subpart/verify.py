@@ -727,8 +727,10 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_csv_determinism(caps: VerifyCaps, rng) -> tuple[bool, str]:
     # the k = 2 CSV of the streamed scan against one from per-partition counts
     n = caps.argmax_n
-    streamed = render.reports_csv([find_maximizers(n, 2)])
-    counted = render.reports_csv([maximizer_report(n, 2, *oracles.scan_maximizers(n, 2))])
+    reports = (find_maximizers(n, 2), maximizer_report(n, 2, *oracles.scan_maximizers(n, 2)))
+    streamed, counted = (
+        render.csv_lines([render.MAXIMIZE_COLUMNS, render.report_row(r)]) for r in reports
+    )
     if streamed.encode() != counted.encode():
         return False, f"k=2 csv differs between streamed and per-partition counts at n={n}"
     return True, f"n={n}, k=2: byte-identical from streamed and per-partition counts"

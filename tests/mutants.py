@@ -37,6 +37,7 @@ MAXIMIZER = "src/subpart/maximizer.py"
 SCAN_BOUNDED = "src/subpart/scan_bounded.py"
 SCAN_CHAINS = "src/subpart/scan_chains.py"
 CLI = "src/subpart/cli.py"
+RENDER = "src/subpart/render.py"
 COUNTING = "src/subpart/counting.py"
 ORACLES = "src/subpart/oracles.py"
 PARTITIONS = "src/subpart/partitions.py"
@@ -286,6 +287,48 @@ MUTANTS = [
         'p.add_argument("--n", type=int, required=True)\n    _scan_flags(p, ("text", "json"))',
         "shape adds --n before the shared flags",
         CLI_TESTS,
+    ),
+    (
+        RENDER,
+        '        "method": result.method,\n',
+        "",
+        "count's JSON payload leaves out its method",
+        GOLDEN_FAST,
+    ),
+    (
+        CLI,
+        "str(args.strict).lower()",
+        "str(args.strict)",
+        "count's CSV writes strict as False, not false",
+        GOLDEN_FAST,
+    ),
+    (
+        RENDER,
+        '"max_count": str(report.max_count.value),',
+        '"max_count": report.max_count.value,',
+        "a report's JSON max_count written as a number, not a decimal string",
+        GOLDEN_FAST,
+    ),
+    (
+        MAXIMIZER,
+        "hr_reference=k * HR_RATE,",
+        "hr_reference=HR_RATE,",
+        "a report's hr_reference stays the k = 1 rate at every k",
+        GOLDEN_FAST,
+    ),
+    (
+        MAXIMIZER,
+        "exponent=math.log(best) / math.sqrt(n),",
+        "exponent=math.log(best) / n,",
+        "a report's exponent divides log M by n, not sqrt(n)",
+        GOLDEN_FAST,
+    ),
+    (
+        MAXIMIZER,
+        "for parts in winners if parts[0] > len(parts)]",
+        "for parts in winners if False]",
+        "_scan_maxima adds no conjugates, so maximizer sets are not conjugation-closed",
+        SCAN,
     ),
     (
         COUNTING,

@@ -52,29 +52,6 @@ def test_count_chain_flags(capsys):
     assert run_cli(capsys, "count", "2,2", "--k", "2", "--strict") == (0, "14\n")
 
 
-def test_count_json(capsys):
-    code, out = run_cli(capsys, "count", "3,1", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == "7"
-    assert payload["method"] == "row-dp"
-    assert payload["params"]["partition"] == "3,1"
-
-
-def test_count_csv(capsys):
-    code, out = run_cli(capsys, "count", "3,1", "--format", "csv")
-    lines = out.splitlines()
-    assert code == 0
-    assert lines[0] == "partition,k,strict,value,method"
-    assert lines[1] == '"3,1",1,false,7,row-dp'
-
-
-def test_pn(capsys):
-    assert run_cli(capsys, "pn", "100") == (0, "190569292\n")
-    code, out = run_cli(capsys, "pn", "10", "--format", "json")
-    assert json.loads(out)["value"] == "42"
-
-
 def test_bound(capsys):
     code, out = run_cli(capsys, "bound", "1", "--format", "json")
     assert code == 0
@@ -96,21 +73,6 @@ def test_bound_past_float_range(capsys):
     code, out = run_cli(capsys, "bound", staircase, "--format", "json")
     assert '"bound": Infinity' in out
     assert json.loads(out)["bound"] == math.inf
-
-
-def test_maximize_text(capsys):
-    code, out = run_cli(capsys, "maximize", "--n", "4")
-    assert code == 0
-    assert "maximizers 3,1; 2,1,1" in out
-    assert "max_count 7" in out
-
-
-def test_maximize_json(capsys):
-    code, out = run_cli(capsys, "maximize", "--n", "6", "--k", "2", "--format", "json")
-    payload = json.loads(out)
-    assert payload["n"] == 6 and payload["k"] == 2
-    assert isinstance(payload["max_count"], str)
-    assert payload["hr_reference"] > payload["exponent"] > 0
 
 
 def test_maximize_csv_header_and_determinism(tmp_path):
@@ -177,14 +139,6 @@ def test_shape_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["svg"] == str(svg)
     assert payload["envelope_distance"] <= payload["profile_distance"]
-
-
-def test_verify_fast(capsys):
-    code, out = run_cli(capsys, "verify", "--level", "fast")
-    assert code == 0
-    lines = out.splitlines()
-    assert sum(1 for line in lines if line.startswith("PASS ")) == len(CHECKS)
-    assert lines[-1].endswith("checks passed at level fast")
 
 
 def test_exit_code_parse_errors(capsys):
