@@ -47,8 +47,18 @@ SCAN = ["tests/test_maximizer.py"]
 PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
-KERNEL_LOADS = ["tests/test_cli.py::test_command_loads_only_the_kernels_it_runs"]
+KERNEL_LOADS = ["tests/test_cli.py::test_statement_loads_exactly_its_modules"]
 PARTITIONS_TESTS = ["tests/test_partitions.py"]
+# the direct tests of counting._in_two; the escape test runs first, so that
+# a child that leaves the call stops there and runs no other test
+IN_TWO = [
+    f"tests/test_counting.py::{name}"
+    for name in (
+        "test_no_child_leaves_in_two",
+        "test_in_two_runs_there_in_a_child_or_else_here",
+        "test_in_two_kills_the_child_when_here_raises",
+    )
+]
 # a chain-count DP mutant runs under the property tests and verify's full-level golden
 CHAINS = PROPERTIES + GOLDEN_FULL
 
@@ -392,6 +402,55 @@ MUTANTS = [
         "v[0] * tail",
         "_chain_matrix weighs the tail by a vector's first entry, not its total",
         CHAINS,
+    ),
+    (
+        COUNTING,
+        "if threading is not None and threading.active_count() > 1:",
+        "if False:",
+        "_in_two forks while another thread runs",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "status = os.waitpid(pid, 0)[1]",
+        "status = 0",
+        "_in_two never reaps its child",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "        os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes\n",
+        "",
+        "_in_two waits out the child when here() raises",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "return mine, marshal.loads(data)",
+        "return marshal.loads(data), mine",
+        "_in_two returns its halves swapped",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "if status:",
+        "if False:",
+        "_in_two reads a failed child's pipe instead of running there() here",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "        for fd in fds:\n            os.close(fd)\n",
+        "",
+        "_in_two leaks the pipe's descriptors when the fork fails",
+        IN_TWO,
+    ),
+    (
+        COUNTING,
+        "os._exit(status)",
+        "sys.exit(status)",
+        "_in_two's child leaves by SystemExit and runs on in the caller",
+        IN_TWO,
     ),
     (
         ORACLES,

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import random
@@ -193,79 +194,80 @@ def test_forked_sinks_match_the_in_process_count(monkeypatch):
     assert open_fds() == fds
 
 
-def test_count_makes_no_fork_while_another_thread_runs(monkeypatch):
-    lam = Partition(tuple(range(40, 0, -1)))
-    cases = [(lam, k, strict) for k in (1, 2, 3) for strict in (False, True)]
-    want = [count_kchains(*case).value for case in cases]
-    monkeypatch.setattr(counting, "FORK_CELLS", 1)
-    forks = count_forks(monkeypatch)
-    with live_thread():
-        assert [count_kchains(*case).value for case in cases] == want
-    assert forks == []
-    # the same count forks once the other thread has ended
-    assert count_kchains(lam, 1).value == want[0]
-    assert len(forks) == 1
+def test_no_child_leaves_in_two():
+    # a child that returned or raised out of _in_two would go on running
+    # this test session; one that gets this far reports through the pipe
+    parent, (read, write) = os.getpid(), os.pipe()
+    try:
+        assert counting._in_two(lambda: 0, lambda: 1) == (0, 1)
+    finally:
+        if os.getpid() != parent:
+            os.write(write, b"escaped")
+            os._exit(0)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        assert pipe.read() == b""
     assert_no_child()
 
 
-def test_count_runs_the_sinks_here_when_fork_fails(monkeypatch):
-    lam = Partition(tuple(range(40, 0, -1)))
-    want = count_kchains(lam, 2).value
-    fds = open_fds()
-    monkeypatch.setattr(counting, "FORK_CELLS", 1)
+def _refused(*args):
+    raise OSError("refused")
 
-    def refused():
-        raise OSError("fork refused")
 
-    monkeypatch.setattr(os, "fork", refused)
-    assert count_kchains(lam, 2).value == want
-    monkeypatch.delattr(os, "fork")  # a platform without fork
-    assert count_kchains(lam, 2).value == want
+# each branch of _in_two: the forks it makes, and the runs of there() here
+IN_TWO_CASES = {
+    "forked": (1, 0),
+    "thread": (0, 1),
+    "no fork": (0, 1),
+    "fork fails": (0, 1),
+    "pipe fails": (0, 1),
+    "child raises": (1, 1),
+    "child killed": (1, 1),
+}
+
+
+@pytest.mark.parametrize("case", IN_TWO_CASES)
+def test_in_two_runs_there_in_a_child_or_else_here(monkeypatch, case):
+    fds, parent, here = open_fds(), os.getpid(), []
+
+    def there():
+        if os.getpid() == parent:
+            here.append(1)
+        elif case == "child raises":
+            raise MemoryError
+        elif case == "child killed":
+            os.kill(os.getpid(), 9)
+        return {"there": (2, 3)}
+
+    forks = count_forks(monkeypatch)
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "fork fails":
+        monkeypatch.setattr(os, "fork", _refused)
+    elif case == "pipe fails":
+        monkeypatch.setattr(os, "pipe", _refused)
+    with live_thread() if case == "thread" else contextlib.nullcontext():
+        assert counting._in_two(lambda: "here", there) == ("here", {"there": (2, 3)})
+    assert (len(forks), len(here)) == IN_TWO_CASES[case]
+    assert_no_child()
     assert open_fds() == fds
 
 
-@pytest.mark.parametrize("fail", ["raise", "signal"])
-def test_count_runs_the_sinks_here_when_the_child_fails(monkeypatch, fail):
-    lam = Partition(tuple(range(40, 0, -1)))
-    want = count_kchains(lam, 3).value
-    parent, sinks, here = os.getpid(), counting._sinks, []
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_in_two_kills_the_child_when_here_raises(monkeypatch, error):
+    fds = open_fds()
 
-    def failing(*args):
-        if os.getpid() != parent:
-            if fail == "raise":
-                raise MemoryError
-            os.kill(os.getpid(), 9)
-        here.append(args)
-        return sinks(*args)
+    def failing():
+        raise error
 
-    monkeypatch.setattr(counting, "FORK_CELLS", 1)
-    monkeypatch.setattr(counting, "_sinks", failing)
-    forks = count_forks(monkeypatch)
-    assert count_kchains(lam, 3).value == want
-    assert len(forks) == len(here) == 1
-    assert_no_child()
+    def slow():
+        time.sleep(20)  # killed long before this ends
 
-
-def test_walk_error_propagates_and_leaves_no_child(monkeypatch):
-    lam = Partition(tuple(range(300, 0, -1)))
-    fds, parent, sinks = open_fds(), os.getpid(), counting._sinks
-
-    def broken(parts, k):
-        raise RuntimeError("walk failed")
-
-    def slow(*args):
-        if os.getpid() != parent:
-            time.sleep(60)  # killed long before this ends
-        return sinks(*args)
-
-    monkeypatch.setattr(counting, "FORK_CELLS", 1)
-    monkeypatch.setattr(counting, "_walk", broken)
-    monkeypatch.setattr(counting, "_sinks", slow)
     forks = count_forks(monkeypatch)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match="walk failed"):
-        count_kchains(lam, 1)
-    assert time.monotonic() - start < 30
+    with pytest.raises(error):
+        counting._in_two(failing, slow)
+    assert time.monotonic() - start < 10
     assert len(forks) == 1
     assert_no_child()
     assert open_fds() == fds

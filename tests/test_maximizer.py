@@ -318,9 +318,9 @@ def test_chain_scan_matches_per_partition_counts(k):
 @pytest.mark.parametrize(
     "n, k, value, maximizers",
     [
-        (20, 4, 25740890, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1))),
-        (20, 5, 341205328, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1))),
-        (18, 6, 654069663, ((7, 4, 3, 2, 1, 1), (6, 4, 3, 2, 1, 1, 1))),
+        pytest.param(20, 4, 25740890, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1)), id="20-4"),
+        pytest.param(20, 5, 341205328, ((7, 5, 3, 2, 1, 1, 1), (7, 4, 3, 2, 2, 1, 1)), id="20-5"),
+        pytest.param(18, 6, 654069663, ((7, 4, 3, 2, 1, 1), (6, 4, 3, 2, 1, 1, 1)), id="18-6"),
     ],
 )
 def test_chain_maximizers_pinned(n, k, value, maximizers):
