@@ -48,6 +48,7 @@ PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
 KERNEL_LOADS = ["tests/test_cli.py::test_statement_loads_exactly_its_modules"]
+FORKED_REGISTRY = ["tests/test_verify.py::test_forked_registry_matches_the_in_process_run"]
 PARTITIONS_TESTS = ["tests/test_partitions.py"]
 # the direct tests of counting._in_two; the escape test runs first, so that
 # a child that leaves the call stops there and runs no other test
@@ -72,6 +73,30 @@ MUTANTS = [
     (VERIFY, "paired_n=10,", "paired_n=9,", "FULL paired sweep one smaller", GOLDEN_FULL),
     (VERIFY, "sequence_n=30,", "sequence_n=29,", "FULL sequence sweep one smaller", GOLDEN_FULL),
     (VERIFY, "argmax_n=20,", "argmax_n=19,", "FULL argmax sweep one smaller", GOLDEN_FULL),
+    (VERIFY, "range(15, 20),", "range(15, 21),", "FAST trend one larger", GOLDEN_FAST),
+    (VERIFY, "range(25, 36),", "range(25, 35),", "FULL trend one smaller", GOLDEN_FULL),
+    (VERIFY, "envelope_trials=200,", "envelope_trials=50,", "FULL trials as FAST's", GOLDEN_FULL),
+    (
+        VERIFY,
+        "for result in first + second]",
+        "for result in second + first]",
+        "run_verification returns the forked half first",
+        GOLDEN_FAST,
+    ),
+    (
+        VERIFY,
+        "results.append((name, passed, detail, time.perf_counter() - start))",
+        "results.append((name, passed, detail, start - time.perf_counter()))",
+        "a check's seconds negated",
+        FORKED_REGISTRY,
+    ),
+    (
+        VERIFY,
+        "passed, detail = fn(caps, rng)\n",
+        'passed, detail = fn(caps, rng)\n            detail += f" at {start}"\n',
+        "a check's detail carries the clock, so no two runs agree",
+        FORKED_REGISTRY,
+    ),
     (
         SCAN_BOUNDED,
         "stack = [(None, [1, 0], 1, 0, n)]",
@@ -402,6 +427,13 @@ MUTANTS = [
         "v[0] * tail",
         "_chain_matrix weighs the tail by a vector's first entry, not its total",
         CHAINS,
+    ),
+    (
+        COUNTING,
+        "method=BRIDGE_DP,",
+        "method=ROW_DP,",
+        "count_bridges_below names the row DP as its method",
+        ["tests/test_counting.py::test_meet_in_the_middle_on_a_seeded_400_part_partition"],
     ),
     (
         COUNTING,

@@ -42,9 +42,9 @@ def test_row_dp_matches_brute_force(parts):
     assert count_subpartitions(Partition(parts)).value == len(oracles.brute_subpartitions(parts))
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_partitions(6, 6), st.integers(1, 4), st.booleans())
-def test_small_chain_determinant_matches_binomial_determinant(parts, k, strict):
+def _assert_determinant_matches_binomial(parts, k, strict):
+    # the matrix joined at the half-area strip, against the len(lam) x
+    # len(lam) determinant, weak and through the strict transform
     got = count_kchains(Partition(parts), k, strict=strict).value
     if strict:
         want = sum(
@@ -54,6 +54,12 @@ def test_small_chain_determinant_matches_binomial_determinant(parts, k, strict):
     else:
         want = oracles.binomial_chain_count(parts, k)
     assert got == want
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_partitions(6, 6), st.integers(1, 4), st.booleans())
+def test_small_chain_determinant_matches_binomial_determinant(parts, k, strict):
+    _assert_determinant_matches_binomial(parts, k, strict)
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -67,17 +73,7 @@ def test_small_chain_determinant_matches_binomial_determinant(parts, k, strict):
 # a small lam cut at its half-area row, c = 3
 @example((3, 3, 3, 3, 3), 2, True)
 def test_chain_determinant_matches_binomial_determinant(parts, k, strict):
-    # the matrix joined at the half-area strip, against the len(lam) x
-    # len(lam) determinant, weak and through the strict transform
-    got = count_kchains(Partition(parts), k, strict=strict).value
-    if strict:
-        want = sum(
-            (-1) ** (k - m) * math.comb(k - 1, m - 1) * oracles.binomial_chain_count(parts, m)
-            for m in range(1, k + 1)
-        )
-    else:
-        want = oracles.binomial_chain_count(parts, k)
-    assert got == want
+    _assert_determinant_matches_binomial(parts, k, strict)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

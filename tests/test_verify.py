@@ -8,7 +8,7 @@ import pytest
 
 from forks import assert_no_child, count_forks, open_fds
 from subpart import verify
-from subpart.verify import CHECKS, FAST, FULL, random_shape, run_verification
+from subpart.verify import CHECKS, FAST, random_shape, run_verification
 
 
 def test_registry_holds_32_checks():
@@ -25,28 +25,11 @@ def test_registry_holds_32_checks():
     assert names == [name for name, _ in CHECKS]
 
 
-def test_fast_suite_passes():
-    results = run_verification("fast", seed=2718)
-    assert len(results) == len(CHECKS)
-    assert [r.name for r in results] == [name for name, _ in CHECKS]
-    failures = [r for r in results if not r.passed]
-    assert failures == [], [f"{r.name}: {r.detail}" for r in failures]
-    assert all(r.seconds >= 0.0 for r in results)
-
-
 def test_full_level_matches_golden(full_run):
     # golden_verify_full.txt holds verify --level full's text lines without
     # their seconds, so that a changed FULL size fails here
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in full_run.values()]
     assert "".join(lines) == (Path(__file__).parent / "golden_verify_full.txt").read_text()
-
-
-def test_suite_is_deterministic_per_seed():
-    a = run_verification("fast", seed=99)
-    b = run_verification("fast", seed=99)
-    assert [(r.name, r.passed, r.detail) for r in a] == [
-        (r.name, r.passed, r.detail) for r in b
-    ]
 
 
 def test_suite_passes_under_other_seeds():
@@ -91,11 +74,6 @@ def test_unknown_level_rejected():
         run_verification("thorough")
 
 
-def test_caps_presets():
-    assert FULL.envelope_trials > FAST.envelope_trials
-    assert FULL.trend_ns == range(25, 36) and FAST.trend_ns == range(15, 20)
-
-
 def test_random_shape_generator():
     for seed in range(10):
         shape = random_shape(random.Random(seed))
@@ -135,6 +113,7 @@ NAMES = [name for name, _ in CHECKS]
 def test_forked_registry_matches_the_in_process_run(monkeypatch, seed):
     forked = run_verification("fast", seed=seed)
     assert [r.name for r in forked] == NAMES
+    assert all(r.seconds >= 0.0 for r in forked)
     monkeypatch.delattr(os, "fork")  # a platform without fork
     assert _outcomes(forked) == _outcomes(run_verification("fast", seed=seed))
 
@@ -153,7 +132,7 @@ def test_verify_forks_once_and_runs_the_first_half_here(monkeypatch):
     results = run_verification("fast", seed=7)
     assert [r.name for r in results] == NAMES and all(r.passed for r in results)
     assert len(forks) == 1
-    # the traced verify smoke reads layers that only these two checks feed
+    # CI's traced verify run reads layers that only these two checks feed
     assert here == NAMES[:16]
     assert {"enumeration-order-and-count", "limit-curve-constants"} <= set(here)
     assert_no_child()
