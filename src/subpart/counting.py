@@ -29,11 +29,12 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from itertools import accumulate, count, islice
-from operator import mul
+from functools import reduce
+from itertools import accumulate, compress, count, islice
+from operator import add, and_, gt, lt, mul, sub
 from typing import Callable, Iterator, TypeVar
 
-from .envelope import DiscreteFunction, lower_convex_envelope
+from .envelope import _interpolate, lower_hull
 from .partitions import (
     DEFAULT_STATE_CAP,
     LatticeProfile,
@@ -369,14 +370,28 @@ def envelope_count_bound(prof: LatticeProfile) -> EnvelopeBound:
     """Bound on the number of bridges below the profile: each unit step of
     the envelope with slope s can contribute at most e^{growth_rate(s)}
     paths per unit length.  Envelope slopes stay in [-1, 1] because the
-    profile's own steps are +-1."""
+    profile's own steps are +-1.
+
+    A +-1 path has no lower-hull vertex but its two ends and its valleys
+    (a step down, then a step up: lam's inner corners), and the cross
+    products of the hull scan are exact on integer-valued floats, so the
+    scan takes those points alone and finds the hull of the whole window.
+    ``_interpolate`` puts it back on the window, and the steps then run at
+    C speed: one ``growth_rate`` per distinct step, summed step by step
+    from 0.0 in window order.  The cell-by-cell route, which scans every
+    point and prices every step, is ``oracles.envelope_count_bound_cells``.
+    """
     from .ratefn import growth_rate
 
-    heights = DiscreteFunction(prof.lo, tuple(float(h) for h in prof.heights))
-    env = lower_convex_envelope(heights)
-    log_value = 0.0
-    for d in env.increments():
-        log_value += growth_rate(max(-1.0, min(1.0, d)))
+    h = prof.heights
+    valleys = compress(count(1), map(and_, map(gt, h, h[1:]), map(lt, h[1:], h[2:])))
+    corners = [0, *valleys, len(h) - 1] if len(h) > 1 else [0]
+    hull = lower_hull([(prof.lo + i, float(h[i])) for i in corners])
+    env = _interpolate(hull, prof.lo, prof.hi)
+    steps = list(map(sub, env[1:], env))
+    rate = {d: growth_rate(max(-1.0, min(1.0, d))) for d in set(steps)}
+    # not sum(): from Python 3.12 it compensates float sums, changing bits
+    log_value = reduce(add, map(rate.__getitem__, steps), 0.0)
     try:
         value = math.exp(log_value)
     except OverflowError:

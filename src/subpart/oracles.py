@@ -14,9 +14,10 @@ import math
 from itertools import product
 from typing import Callable
 
-from .counting import count_kchains
-from .envelope import DiscreteFunction
+from .counting import EnvelopeBound, count_kchains
+from .envelope import DiscreteFunction, lower_convex_envelope
 from .partitions import LatticeProfile, Partition
+from .ratefn import growth_rate
 
 
 def enumerate_partitions(n):
@@ -214,6 +215,22 @@ def decreasing_envelope_oracle(values):
     """Greatest decreasing convex minorant: any decreasing minorant of f is
     a minorant of the running minimum, so take the envelope of that."""
     return chord_min_envelope(running_min(values))
+
+
+def envelope_count_bound_cells(prof):
+    """``counting.envelope_count_bound`` cell by cell: the hull scan over
+    every point of the window, then one ``growth_rate`` per unit step of
+    the envelope, summed from 0.0 in window order.  The package's bound
+    must equal it bit for bit."""
+    heights = DiscreteFunction(prof.lo, tuple(float(h) for h in prof.heights))
+    log_value = 0.0
+    for d in lower_convex_envelope(heights).increments():
+        log_value += growth_rate(max(-1.0, min(1.0, d)))
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    return EnvelopeBound(log_value=log_value, value=value)
 
 
 PANEL_TOL = 1e-10

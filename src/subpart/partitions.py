@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 # Largest p(n) for which a maximizer scan of the partitions of n starts.
@@ -168,12 +169,13 @@ class LatticeProfile(Record):
             raise ValueError("window does not match heights")
         if heights[0] != abs(lo) or heights[-1] != abs(hi):
             raise ValueError("profile must equal |j| at the window endpoints")
-        for j, g in zip(range(lo, hi + 1), heights):
-            if g < abs(j):
-                raise ValueError(f"profile dips below |j| at {j}")
-        for a, b in zip(heights, heights[1:]):
-            if abs(b - a) != 1:
-                raise ValueError("profile increments must be +-1")
+        # from pinned ends, +-1 steps never raise G(j) - j nor lower G(j) + j,
+        # so G dips below |j| only where some step is not +-1
+        if not set(map(sub, heights[1:], heights)) <= {1, -1}:
+            for j, g in zip(range(lo, hi + 1), heights):
+                if g < abs(j):
+                    raise ValueError(f"profile dips below |j| at {j}")
+            raise ValueError("profile increments must be +-1")
         self.__dict__.update(lo=lo, hi=hi, heights=heights)
 
     def value(self, j: int) -> int:

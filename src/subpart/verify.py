@@ -5,7 +5,10 @@ runnable at two effort levels.
 the limit-shape trend so the whole battery finishes in seconds; ``full``
 runs everything at the documented sizes.  Each check returns a CheckResult;
 a check failure never raises, it reports.  Each check draws from its own
-seeded RNG and shares no state with another, so ``run_verification`` runs
+seeded RNG and shares no state with another but one table of the
+library's counts (``count_subpartitions``, and ``count_kchains`` weak and
+strict), which each process of a run fills as its checks ask and empties
+when its half starts and when it returns; so ``run_verification`` runs
 the second half of the registry in one forked child while this process
 runs the first, and the results do not depend on where a check ran.
 Spans a tracer records inside the child stay there: per-check seconds
@@ -15,9 +18,12 @@ The independent routes the counting checks compare against (enumeration,
 the poset chain counter, MacMahon's box product, the memoized pentagonal
 recurrence), the numeric Legendre transform, the quadrature behind the
 limit-curve constants, and the random grids of the envelope checks come
-from ``subpart.oracles``, which the test suite shares.  The objects of the
-convex-analysis lemma (the decreasing envelope and path energies) and the
-constants residuals live here, beside the checks that use them.
+from ``subpart.oracles``, which the test suite shares.  They count without
+the table, so ``oracles.scan_maximizers`` stays a recount of its own, and
+the checks of reproducible output (``json-roundtrip``, ``csv-determinism``)
+take nothing from it either.  The objects of the convex-analysis lemma
+(the decreasing envelope and path energies) and the constants residuals
+live here, beside the checks that use them.
 """
 
 from __future__ import annotations
@@ -137,11 +143,10 @@ def _all_partitions_upto(n_max: int) -> list[Partition]:
 def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Containment of diagrams must match pointwise order of profiles."""
     lams = _all_partitions_upto(caps.order_pairs_n)
+    profiles = [profile(lam) for lam in lams]
     checked = 0
-    for mu in lams:
-        pm = profile(mu)
-        for lam in lams:
-            pl = profile(lam)
+    for mu, pm in zip(lams, profiles):
+        for lam, pl in zip(lams, profiles):
             lo = min(pm.lo, pl.lo)
             hi = max(pm.hi, pl.hi)
             dominated = all(pm.value(j) <= pl.value(j) for j in range(lo, hi + 1))
@@ -504,11 +509,35 @@ def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 # ------------------------------------------------------------------ counting
 
+# The library's counts of the checks that run in this process, by (lam's
+# parts, k, strict): ``_run_checks`` empties it when it starts and when it
+# returns, so a run computes each count once and no run reuses another's.
+# ``count_subpartitions`` is filed under k = None, apart from
+# ``count_kchains`` at k = 1: the same number by another entry point, and a
+# check that names either one must still call it.
+_COUNTS: dict[tuple[tuple[int, ...], int | None, bool], int] = {}
+
+
+def _subpartitions(lam: Partition) -> int:
+    """``count_subpartitions(lam).value``, from the run's table."""
+    key = (lam.parts, None, False)
+    if key not in _COUNTS:
+        _COUNTS[key] = count_subpartitions(lam).value
+    return _COUNTS[key]
+
+
+def _chains(lam: Partition, k: int, strict: bool = False) -> int:
+    """``count_kchains(lam, k, strict).value``, from the run's table."""
+    key = (lam.parts, k, strict)
+    if key not in _COUNTS:
+        _COUNTS[key] = count_kchains(lam, k, strict=strict).value
+    return _COUNTS[key]
+
 
 def check_bridge_bijection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.paired_n):
-        a = count_subpartitions(lam).value
+        a = _subpartitions(lam)
         b = count_bridges_below(profile(lam)).value
         if a != b:
             return False, f"bridges {b} != subpartitions {a} at {lam}"
@@ -521,12 +550,12 @@ def check_counting_brute_force(caps: VerifyCaps, rng) -> tuple[bool, str]:
     subpartition poset, weak and strict, k <= 3."""
     count = 0
     for lam in _all_partitions_upto(caps.brute_n):
-        if count_subpartitions(lam).value != len(oracles.brute_subpartitions(lam.parts)):
+        if _subpartitions(lam) != len(oracles.brute_subpartitions(lam.parts)):
             return False, f"subpartition count wrong at {lam}"
         for k in (1, 2, 3):
             for strict in (False, True):
                 expected = oracles.poset_chain_count(lam.parts, k, strict)
-                got = count_kchains(lam, k, strict=strict).value
+                got = _chains(lam, k, strict)
                 if got != expected:
                     return False, (
                         f"chain count mismatch at {lam}, k={k}, strict={strict}: "
@@ -542,7 +571,7 @@ def check_macmahon_box(caps: VerifyCaps, rng) -> tuple[bool, str]:
         for b in range(1, 4):
             for k in range(1, 4):
                 want = oracles.macmahon_box(a, b, k)
-                got = count_kchains(Partition((b,) * a), k).value
+                got = _chains(Partition((b,) * a), k)
                 if got != want:
                     return False, f"box {a}x{b}x{k}: {got} != {want}"
     return True, "all boxes a, b, k <= 3"
@@ -550,7 +579,7 @@ def check_macmahon_box(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 def check_count_conjugation(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for lam in _all_partitions_upto(caps.paired_n):
-        if count_subpartitions(lam).value != count_subpartitions(conjugate(lam)).value:
+        if _subpartitions(lam) != _subpartitions(conjugate(lam)):
             return False, f"conjugation changes count at {lam}"
     return True, f"n <= {caps.paired_n}"
 
@@ -560,11 +589,11 @@ def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     times it."""
     for lam in _all_partitions_upto(caps.formula_n):
         bound = envelope_count_bound(profile(lam))
-        if math.log(count_subpartitions(lam).value) > bound.log_value + 1e-9:
+        if math.log(_subpartitions(lam)) > bound.log_value + 1e-9:
             return False, f"bound violated at {lam}"
     for lam in _all_partitions_upto(caps.chain_bound_n):
         bound = envelope_count_bound(profile(lam))
-        if math.log(count_kchains(lam, 2).value) > 2 * bound.log_value + 1e-9:
+        if math.log(_chains(lam, 2)) > 2 * bound.log_value + 1e-9:
             return False, f"2-chain bound violated at {lam}"
     return True, f"n <= {caps.formula_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
 
@@ -573,7 +602,7 @@ def check_crude_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for lam in _all_partitions_upto(caps.formula_n):
         if lam.n == 0:
             continue
-        if count_subpartitions(lam).value > (lam.n + 1) * partition_count(lam.n).value:
+        if _subpartitions(lam) > (lam.n + 1) * partition_count(lam.n).value:
             return False, f"crude bound violated at {lam}"
     return True, f"n <= {caps.formula_n}"
 
@@ -581,7 +610,7 @@ def check_crude_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_count_monotonicity(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Adding any single box strictly increases the subpartition count."""
     for lam in _all_partitions_upto(caps.paired_n):
-        base = count_subpartitions(lam).value
+        base = _subpartitions(lam)
         parts = list(lam.parts)
         for i in range(len(parts) + 1):
             grown = list(parts)
@@ -591,7 +620,7 @@ def check_count_monotonicity(caps: VerifyCaps, rng) -> tuple[bool, str]:
                 grown.append(1)
             if any(a < b for a, b in zip(grown, grown[1:])):
                 continue
-            if count_subpartitions(Partition(tuple(grown))).value <= base:
+            if _subpartitions(Partition(tuple(grown))) <= base:
                 return False, f"no strict growth from {lam} at row {i}"
     return True, f"n <= {caps.paired_n}"
 
@@ -711,9 +740,9 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
         m1, m2 = one.max_count.value, two.max_count.value
         if not m1 < m2 < m1 * m1:
             return False, f"M1={m1}, M2={m2} break M1 < M2 < M1^2 at n={n}"
-        if any(count_kchains(lam, 2).value > m2 for lam in one.maximizers):
+        if any(_chains(lam, 2) > m2 for lam in one.maximizers):
             return False, f"a k=1 winner beats the k=2 maximum at n={n}"
-        if any(count_subpartitions(lam).value > m1 for lam in two.maximizers):
+        if any(_subpartitions(lam) > m1 for lam in two.maximizers):
             return False, f"a k=2 winner beats the k=1 maximum at n={n}"
         a = {m.parts for m in one.maximizers}
         b = {m.parts for m in two.maximizers}
@@ -792,7 +821,10 @@ def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[Chec
     """Every check of the registry, in its order: the first half here, the
     second in one forked child (``counting._in_two``).  The first half
     holds ``enumeration-order-and-count`` and ``limit-curve-constants``,
-    so a tracer still sees enumeration and the constants' quadrature."""
+    so a tracer still sees enumeration and the constants' quadrature.
+    Each half computes each library count once, in a table of its own
+    process that lives only as long as the half (``_COUNTS``); the oracles
+    count without it."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
     caps = FULL if level == "full" else FAST
@@ -809,6 +841,7 @@ def _run_checks(
 ) -> list[tuple[str, bool, str, float]]:
     """(name, passed, detail, seconds) of each check, plain values that
     marshal can carry out of a forked child."""
+    _COUNTS.clear()
     results = []
     for name, fn in checks:
         # string seeds hash stably (sha512), unlike hash() under PYTHONHASHSEED
@@ -819,4 +852,5 @@ def _run_checks(
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, passed, detail, time.perf_counter() - start))
+    _COUNTS.clear()
     return results

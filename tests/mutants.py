@@ -49,6 +49,9 @@ RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
 KERNEL_LOADS = ["tests/test_cli.py::test_statement_loads_exactly_its_modules"]
 FORKED_REGISTRY = ["tests/test_verify.py::test_forked_registry_matches_the_in_process_run"]
+OTHER_SEEDS = ["tests/test_verify.py::test_suite_passes_under_other_seeds"]
+COUNT_TABLE = ["tests/test_verify.py::test_no_count_outlives_its_run"]
+BOUND_CELLS = ["tests/test_counting.py::test_envelope_bound_matches_the_cell_by_cell_route"]
 PARTITIONS_TESTS = ["tests/test_partitions.py"]
 # the direct tests of counting._in_two; the escape test runs first, so that
 # a child that leaves the call stops there and runs no other test
@@ -96,6 +99,41 @@ MUTANTS = [
         'passed, detail = fn(caps, rng)\n            detail += f" at {start}"\n',
         "a check's detail carries the clock, so no two runs agree",
         FORKED_REGISTRY,
+    ),
+    (
+        VERIFY,
+        "key = (lam.parts, k, strict)",
+        "key = (lam.parts, strict)",
+        "verify's count table keyed without k, so a 2-chain count is served the 1-chain one",
+        OTHER_SEEDS,
+    ),
+    (
+        VERIFY,
+        "key = (lam.parts, k, strict)",
+        "key = (lam.parts, k)",
+        "verify's count table keyed without strict, so a strict count is served the weak one",
+        OTHER_SEEDS,
+    ),
+    (
+        VERIFY,
+        "key = (lam.parts, None, False)",
+        "key = (lam.parts, 1, False)",
+        "verify's count table serves count_kchains at k = 1 the count_subpartitions value",
+        ["tests/test_verify.py::test_chain_count_mismatch_names_the_determinant"],
+    ),
+    (
+        VERIFY,
+        "_COUNTS.clear()\n    results = []",
+        "results = []",
+        "verify's count table not emptied when a run starts",
+        COUNT_TABLE,
+    ),
+    (
+        VERIFY,
+        "_COUNTS.clear()\n    return results",
+        "return results",
+        "verify's count table not emptied when a run returns",
+        COUNT_TABLE,
     ),
     (
         SCAN_BOUNDED,
@@ -485,6 +523,34 @@ MUTANTS = [
         IN_TWO,
     ),
     (
+        COUNTING,
+        "map(and_, map(gt, h, h[1:]), map(lt, h[1:], h[2:]))",
+        "map(and_, map(lt, h, h[1:]), map(gt, h[1:], h[2:]))",
+        "the envelope bound's hull takes the profile's peaks for its valleys",
+        BOUND_CELLS,
+    ),
+    (
+        COUNTING,
+        "[0, *valleys, len(h) - 1]",
+        "[0, *valleys]",
+        "the envelope bound's hull drops the profile's right end",
+        BOUND_CELLS,
+    ),
+    (
+        COUNTING,
+        "    env = _interpolate(hull, prof.lo, prof.hi)\n"
+        "    steps = list(map(sub, env[1:], env))\n"
+        "    rate = {d: growth_rate(max(-1.0, min(1.0, d))) for d in set(steps)}\n"
+        "    # not sum(): from Python 3.12 it compensates float sums, changing bits\n"
+        "    log_value = reduce(add, map(rate.__getitem__, steps), 0.0)\n",
+        "    log_value = 0.0\n"
+        "    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):\n"
+        "        d = max(-1.0, min(1.0, (y1 - y0) / (x1 - x0)))\n"
+        "        log_value += (x1 - x0) * growth_rate(d)\n",
+        "the envelope bound prices each hull segment once, times its length",
+        BOUND_CELLS,
+    ),
+    (
         ORACLES,
         "for _ in range(k - 1):",
         "for _ in range(k):",
@@ -545,6 +611,13 @@ MUTANTS = [
         "fields, name = self._fields, self.__class__.__qualname__",
         'fields, name = self._fields, "__init__"',
         "Record.__init__'s errors leave out the class name",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "<= {1, -1}:",
+        "<= {1, 0, -1}:",
+        "LatticeProfile admits flat steps that stay above |j|",
         RECORDS,
     ),
     (

@@ -108,6 +108,31 @@ def test_envelope_bound_frozen_and_dominant():
             assert b.value == pytest.approx(math.exp(b.log_value), rel=1e-12)
 
 
+def _bound_cases():
+    yield from (Partition(mu) for n in range(13) for mu in oracles.enumerate_partitions(n))
+    yield from (Partition(tuple(range(m, 0, -1))) for m in range(20, 601, 20))
+    yield from (Partition((m,) * m) for m in (2, 3, 10, 45))
+    yield from (Partition((m,)) for m in (1, 2, 9, 500))
+    rng = random.Random(2000)
+    for top in (2000, 6000, 20000):
+        yield Partition(tuple(sorted((rng.randint(1, top) for _ in range(2000)), reverse=True)))
+
+
+def test_envelope_bound_matches_the_cell_by_cell_route():
+    # the hull of the ends and valleys, priced once per distinct step, is
+    # the hull of every point priced step by step, to the last bit; the
+    # largest staircases overflow the float, so both reprs read inf
+    values = set()
+    for lam in _bound_cases():
+        got = envelope_count_bound(profile(lam))
+        want = oracles.envelope_count_bound_cells(profile(lam))
+        assert (repr(got.log_value), repr(got.value)) == (
+            repr(want.log_value), repr(want.value)
+        ), lam
+        values.add(got.value)
+    assert math.inf in values and 1.0 in values
+
+
 def test_partition_count_frozen():
     small = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, want in enumerate(small):

@@ -174,6 +174,11 @@ def test_stored_fields_are_normalized():
         (lambda: LatticeProfile(-2, 2, (2, 0, 0, 0, 2)), "profile dips below |j| at -1"),
         (lambda: LatticeProfile(-2, 2, (2, 2, 2, 0, 2)), "profile dips below |j| at 1"),
         (lambda: LatticeProfile(-2, 0, (2, 2, 0)), "profile increments must be +-1"),
+        pytest.param(
+            lambda: LatticeProfile(-1, 1, (1, 1, 1)),
+            "profile increments must be +-1",
+            id="flat steps above |j|",
+        ),
         (lambda: DiscreteFunction(0, ()), "domain must be nonempty"),
         (lambda: PiecewiseLinearShape(()), "a piecewise-linear shape needs at least one kink"),
         (

@@ -64,9 +64,39 @@ def test_chain_count_mismatch_names_the_determinant(monkeypatch):
         return SimpleNamespace(value=real(lam, k, strict=strict).value + 1)
 
     monkeypatch.setattr(verify, "count_kchains", off_by_one)
+    # a check called outside a run fills a table of its own
+    monkeypatch.setattr(verify, "_COUNTS", {})
     passed, detail = verify.check_counting_brute_force(FAST, random.Random(0))
     assert not passed
     assert detail == "chain count mismatch at , k=1, strict=False: determinant 2, poset 1"
+
+
+def test_no_count_outlives_its_run(monkeypatch):
+    # a count left in this process's table, here a wrong one, is not served
+    # to the forked half, which starts from a copy of that table
+    monkeypatch.setitem(verify._COUNTS, ((1,), 1, False), 0)
+    assert all(r.passed for r in run_verification("fast", seed=7))
+    assert verify._COUNTS == {}
+    # nor, in one process, is a count served from one run to the next
+    calls = []
+
+    def counted(real):
+        def count(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in ("count_subpartitions", "count_kchains"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    monkeypatch.delattr(os, "fork")
+    made = []
+    for _ in range(2):
+        calls.clear()
+        assert all(r.passed for r in run_verification("fast", seed=7))
+        assert verify._COUNTS == {}
+        made.append(len(calls))
+    assert made[0] == made[1] > 0
 
 
 def test_unknown_level_rejected():
