@@ -17,7 +17,6 @@ _HOMES = {
     "count_subpartitions": "counting",
     "envelope_count_bound": "counting",
     "partition_count": "counting",
-    "DiscreteFunction": "envelope",
     "lower_convex_envelope": "envelope",
     "MaximizerReport": "maximizer",
     "ShapeReport": "maximizer",

@@ -1,48 +1,26 @@
-"""Lower convex envelopes of functions on integer intervals.
+"""Lower convex envelopes of functions on integer grids.
 
 The central fact these envelopes exist to serve: among all paths pinned at
 both ends under a ceiling f, the lower convex envelope minimizes any sum of
 a convex function of the increments.  ``verify`` checks that lemma, and
-its left-pinned form for the decreasing envelope, by sampling.
+its left-pinned form for the decreasing envelope, by sampling.  A function
+is the tuple of its values on 0..len - 1: the hull and the interpolation
+see x only through differences, so no offset changes a value.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .partitions import Record
 
-
-class DiscreteFunction(Record):
-    """Real values on the integer interval lo..lo+len(values)-1."""
-
-    lo: int
-    values: tuple[float, ...]
-
-    def __init__(self, lo: int, values: tuple[float, ...]) -> None:
-        if not values:
-            raise ValueError("domain must be nonempty")
-        self.__dict__.update(lo=lo, values=tuple([float(v) for v in values]))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def value(self, i: int) -> float:
-        if not self.lo <= i <= self.hi:
-            raise IndexError(f"{i} outside domain [{self.lo}, {self.hi}]")
-        return self.values[i - self.lo]
-
-    def increments(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
-
-def lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
-    """Greatest convex minorant, computed by a monotone-chain lower hull
-    scan over the points (i, f(i)) and interpolated back to the grid."""
-    pts = [(i, v) for i, v in zip(range(f.lo, f.hi + 1), f.values)]
-    hull = lower_hull(pts)
-    return DiscreteFunction(f.lo, tuple(_interpolate(hull, f.lo, f.hi)))
+def lower_convex_envelope(values: Sequence[float]) -> tuple[float, ...]:
+    """Greatest convex minorant of the values on the grid 0..len - 1,
+    computed by a monotone-chain lower hull scan over the points (i, v)
+    and interpolated back to the grid."""
+    if not values:
+        raise ValueError("domain must be nonempty")
+    hull = lower_hull([(i, float(v)) for i, v in enumerate(values)])
+    return tuple(_interpolate(hull, 0, len(values) - 1))
 
 
 def lower_hull(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

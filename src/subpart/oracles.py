@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable
 
 from .counting import EnvelopeBound, count_kchains
-from .envelope import DiscreteFunction, lower_convex_envelope
+from .envelope import lower_convex_envelope
 from .partitions import LatticeProfile, Partition
 from .ratefn import growth_rate
 
@@ -177,12 +177,12 @@ def pentagonal_memoized(n):
 
 def random_grid(rng, max_len=12):
     """Random walk on 2..max_len grid points with unit-bounded increments,
-    started at a random offset."""
+    as the tuple of its values."""
     length = rng.randint(2, max_len)
     values = [rng.uniform(-2.0, 2.0)]
     for _ in range(length - 1):
         values.append(values[-1] + rng.uniform(-1.0, 1.0))
-    return DiscreteFunction(rng.randint(-3, 3), tuple(values))
+    return tuple(values)
 
 
 def chord_min_envelope(values):
@@ -222,10 +222,10 @@ def envelope_count_bound_cells(prof):
     every point of the window, then one ``growth_rate`` per unit step of
     the envelope, summed from 0.0 in window order.  The package's bound
     must equal it bit for bit."""
-    heights = DiscreteFunction(prof.lo, tuple(float(h) for h in prof.heights))
+    env = lower_convex_envelope(prof.heights)
     log_value = 0.0
-    for d in lower_convex_envelope(heights).increments():
-        log_value += growth_rate(max(-1.0, min(1.0, d)))
+    for a, b in zip(env, env[1:]):
+        log_value += growth_rate(max(-1.0, min(1.0, b - a)))
     try:
         value = math.exp(log_value)
     except OverflowError:

@@ -16,8 +16,10 @@ with functional value pi/sqrt(3).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .shapes import PiecewiseLinearShape
+if TYPE_CHECKING:
+    from .shapes import PiecewiseLinearShape
 
 VERSHIK_BETA = math.pi / (2.0 * math.sqrt(3.0))
 VERSHIK_HEIGHT = math.log(2.0) / VERSHIK_BETA

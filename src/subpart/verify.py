@@ -22,8 +22,9 @@ from ``subpart.oracles``, which the test suite shares.  They count without
 the table, so ``oracles.scan_maximizers`` stays a recount of its own, and
 the checks of reproducible output (``json-roundtrip``, ``csv-determinism``)
 take nothing from it either.  The objects of the convex-analysis lemma
-(the decreasing envelope and path energies) and the constants residuals
-live here, beside the checks that use them.
+(the decreasing envelope and path energies, each on the plain tuple of a
+function's values on 0..len - 1) and the constants residuals live here,
+beside the checks that use them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import random
 import time
 from itertools import islice
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import oracles, render
 # the maximizer checks run in the half that ``run_verification`` forks, and
@@ -48,7 +49,7 @@ from .counting import (
     envelope_count_bound,
     partition_count,
 )
-from .envelope import DiscreteFunction, lower_convex_envelope
+from .envelope import lower_convex_envelope
 from .maximizer import HR_RATE, find_maximizers, maximizer_report
 from .oracles import enumerate_partitions
 from .partitions import DEFAULT_SEED, Partition, Record, conjugate, profile
@@ -203,7 +204,7 @@ def check_enumeration_count(caps: VerifyCaps, rng) -> tuple[bool, str]:
 # ------------------------------------------------------------------ envelope
 
 
-def decreasing_lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
+def decreasing_lower_convex_envelope(f: Sequence[float]) -> tuple[float, ...]:
     """Greatest decreasing convex minorant.
 
     Coincides with the plain envelope up to the leftmost minimizer of f
@@ -211,18 +212,17 @@ def decreasing_lower_convex_envelope(f: DiscreteFunction) -> DiscreteFunction:
     in the argmin resolve leftmost, which does not change the result.
     """
     env = lower_convex_envelope(f)
-    c = min(range(f.lo, f.hi + 1), key=lambda i: (f.value(i), i))
-    floor = f.value(c)
-    vals = tuple(env.value(i) if i < c else floor for i in range(f.lo, f.hi + 1))
-    return DiscreteFunction(f.lo, vals)
+    floor = min(f)
+    c = f.index(floor)
+    return env[:c] + (floor,) * (len(f) - c)
 
 
-def path_energy(f: DiscreteFunction, psi: Callable[[float], float]) -> float:
+def path_energy(f: Sequence[float], psi: Callable[[float], float]) -> float:
     """Sum of the convex cost psi over the increments of f; +infinity
     propagates."""
     total = 0.0
-    for d in f.increments():
-        v = psi(d)
+    for a, b in zip(f, f[1:]):
+        v = psi(b - a)
         if math.isinf(v):
             return math.inf
         total += v
@@ -230,45 +230,45 @@ def path_energy(f: DiscreteFunction, psi: Callable[[float], float]) -> float:
 
 
 def _random_minorant(
-    rng: random.Random, f: DiscreteFunction, pin_right: bool
-) -> DiscreteFunction:
+    rng: random.Random, f: tuple[float, ...], pin_right: bool
+) -> tuple[float, ...]:
     """Interpolate f downward through randomly dipped anchors, then clamp
     back under f."""
-    n = len(f.values)
-    anchors = {0: f.values[0]}
+    n = len(f)
+    anchors = {0: f[0]}
     if pin_right:
-        anchors[n - 1] = f.values[-1]
+        anchors[n - 1] = f[-1]
     else:
-        anchors[n - 1] = f.values[-1] - rng.uniform(0.0, 1.0)
+        anchors[n - 1] = f[-1] - rng.uniform(0.0, 1.0)
     for i in range(1, n - 1):
         if rng.random() < 0.5:
-            anchors[i] = f.values[i] - rng.uniform(0.0, 1.0)
+            anchors[i] = f[i] - rng.uniform(0.0, 1.0)
     keys = sorted(anchors)
-    values = list(f.values)
+    values = list(f)
     for a, b in zip(keys, keys[1:]):
         for i in range(a, b + 1):
             t = (i - a) / (b - a) if b > a else 0.0
             interp = (1 - t) * anchors[a] + t * anchors[b]
-            values[i] = min(f.values[i], interp)
-    return DiscreteFunction(f.lo, tuple(values))
+            values[i] = min(f[i], interp)
+    return tuple(values)
 
 
 def _dip_minorant(
-    rng: random.Random, f: DiscreteFunction, pin_right: bool
-) -> DiscreteFunction:
+    rng: random.Random, f: tuple[float, ...], pin_right: bool
+) -> tuple[float, ...]:
     """Dip every point but the left end (and the right end when pinned)
     independently: with probability 0.7, by up to 1.5."""
-    values = list(f.values)
+    values = list(f)
     last = len(values) - 1
     for i in range(1, last + 1):
         if (pin_right and i == last) or rng.random() >= 0.7:
             continue
         values[i] -= rng.uniform(0.0, 1.5)
-    return DiscreteFunction(f.lo, tuple(values))
+    return tuple(values)
 
 
 def _sampled_path_beats(
-    rng: random.Random, f: DiscreteFunction, pin_right: bool, jh: float
+    rng: random.Random, f: tuple[float, ...], pin_right: bool, jh: float
 ) -> bool:
     """Whether any of five rounds, each drawing one minorant of f from
     each sampler, finds a path with energy below jh."""
@@ -288,9 +288,9 @@ def check_envelope_energy(caps: VerifyCaps, rng) -> tuple[bool, str]:
         jh = path_energy(h, rate_function)
         if math.isinf(jh):
             return False, f"trial {trial}: envelope energy infinite"
-        if h.values[0] != f.values[0] or h.values[-1] != f.values[-1]:
+        if h[0] != f[0] or h[-1] != f[-1]:
             return False, f"trial {trial}: envelope not pinned"
-        if any(hv > fv + 1e-12 for hv, fv in zip(h.values, f.values)):
+        if any(hv > fv + 1e-12 for hv, fv in zip(h, f)):
             return False, f"trial {trial}: envelope above f"
         if path_energy(h, rate_function) != jh:
             return False, f"trial {trial}: energy not reproducible"
@@ -307,11 +307,11 @@ def check_decreasing_envelope_energy(caps: VerifyCaps, rng) -> tuple[bool, str]:
         jh = path_energy(h, rate_function)
         if math.isinf(jh):
             return False, f"trial {trial}: envelope energy infinite"
-        if h.values[0] != f.values[0]:
+        if h[0] != f[0]:
             return False, f"trial {trial}: left pin broken"
-        if any(b > a + 1e-12 for a, b in zip(h.values, h.values[1:])):
+        if any(b > a + 1e-12 for a, b in zip(h, h[1:])):
             return False, f"trial {trial}: not decreasing"
-        if any(hv > fv + 1e-12 for hv, fv in zip(h.values, f.values)):
+        if any(hv > fv + 1e-12 for hv, fv in zip(h, f)):
             return False, f"trial {trial}: envelope above f"
         if _sampled_path_beats(rng, f, False, jh):
             return False, f"trial {trial}: sampled path beats envelope"
@@ -323,7 +323,7 @@ def check_envelope_idempotent(caps: VerifyCaps, rng) -> tuple[bool, str]:
         f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
         hh = lower_convex_envelope(h)
-        if any(abs(a - b) > 1e-12 for a, b in zip(h.values, hh.values)):
+        if any(abs(a - b) > 1e-12 for a, b in zip(h, hh)):
             return False, f"trial {trial}: envelope not idempotent"
     return True, f"{caps.envelope_trials} trials"
 
@@ -331,12 +331,10 @@ def check_envelope_idempotent(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_envelope_monotone(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
-        g = DiscreteFunction(
-            f.lo, tuple(v + rng.uniform(0.0, 1.0) for v in f.values)
-        )
+        g = tuple(v + rng.uniform(0.0, 1.0) for v in f)
         hf = lower_convex_envelope(f)
         hg = lower_convex_envelope(g)
-        if any(a > b + 1e-12 for a, b in zip(hf.values, hg.values)):
+        if any(a > b + 1e-12 for a, b in zip(hf, hg)):
             return False, f"trial {trial}: envelope not monotone"
     return True, f"{caps.envelope_trials} trials"
 
@@ -347,18 +345,12 @@ def check_jensen_step(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for trial in range(caps.envelope_trials):
         f = oracles.random_grid(rng)
         h = lower_convex_envelope(f)
-        contacts = [
-            i
-            for i, (hv, fv) in enumerate(zip(h.values, f.values))
-            if abs(hv - fv) <= 1e-12
-        ]
+        contacts = [i for i, (hv, fv) in enumerate(zip(h, f)) if abs(hv - fv) <= 1e-12]
         for a, b in zip(contacts, contacts[1:]):
             if b - a < 2:
                 continue
-            raw = sum(
-                rate_function(f.values[i + 1] - f.values[i]) for i in range(a, b)
-            )
-            straight = (b - a) * rate_function((f.values[b] - f.values[a]) / (b - a))
+            raw = sum(rate_function(f[i + 1] - f[i]) for i in range(a, b))
+            straight = (b - a) * rate_function((f[b] - f[a]) / (b - a))
             if raw < straight - 1e-9:
                 return False, f"trial {trial}: Jensen step fails on [{a},{b}]"
     return True, f"{caps.envelope_trials} trials"

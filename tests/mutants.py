@@ -41,6 +41,9 @@ RENDER = "src/subpart/render.py"
 COUNTING = "src/subpart/counting.py"
 ORACLES = "src/subpart/oracles.py"
 PARTITIONS = "src/subpart/partitions.py"
+ENVELOPE = "src/subpart/envelope.py"
+RATEFN = "src/subpart/ratefn.py"
+INIT = "src/subpart/__init__.py"
 GOLDEN_FAST = ["tests/test_cli.py::test_output_matches_golden_bytes"]
 GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
 SCAN = ["tests/test_maximizer.py"]
@@ -48,6 +51,8 @@ PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
 KERNEL_LOADS = ["tests/test_cli.py::test_statement_loads_exactly_its_modules"]
+PUBLIC_NAMES = ["tests/test_cli.py::test_public_names_resolve_to_their_home_modules"]
+ENVELOPE_TESTS = ["tests/test_envelope.py"]
 FORKED_REGISTRY = ["tests/test_verify.py::test_forked_registry_matches_the_in_process_run"]
 OTHER_SEEDS = ["tests/test_verify.py::test_suite_passes_under_other_seeds"]
 COUNT_TABLE = ["tests/test_verify.py::test_no_count_outlives_its_run"]
@@ -626,6 +631,99 @@ MUTANTS = [
         'token.isdigit() or (token[0] == "-" and token[1:].isdigit())',
         "parse screens with isdigit, which admits digits int() rejects",
         PARTITIONS_TESTS,
+    ),
+    (
+        PARTITIONS,
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, self.__class__):",
+        "a record equals a record of a subclass",
+        RECORDS,
+    ),
+    (
+        COUNTING,
+        "    def _key(self) -> tuple:\n        return (self.value, self.method)\n",
+        "",
+        "CountResult compares its params",
+        RECORDS,
+    ),
+    (
+        COUNTING,
+        "params: dict[str, object] | None = None) -> None:\n"
+        "        self.__dict__.update(value=value, method=method, params={} if params is None else params)",
+        "params: dict[str, object] = {}) -> None:\n"
+        "        self.__dict__.update(value=value, method=method, params=params)",
+        "every CountResult built without params shares one dict",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "self.__dict__[name] = value",
+        "a record's fields can be assigned",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        'f"{f}={getattr(self, f)!r}"',
+        'f"{f}={getattr(self, f)}"',
+        "a record's repr formats its values with str",
+        RECORDS,
+    ),
+    (
+        PARTITIONS,
+        "return hash(self._key())",
+        "return hash(self._key()[:1])",
+        "a record hashes its first field only",
+        RECORDS,
+    ),
+    (
+        ENVELOPE,
+        "<= 0.0:",
+        ">= 0.0:",
+        "the hull keeps the points above the chord, an upper hull",
+        ENVELOPE_TESTS,
+    ),
+    (
+        ENVELOPE,
+        "len(values) - 1",
+        "len(values) - 2",
+        "lower_convex_envelope drops the grid's last point",
+        ENVELOPE_TESTS,
+    ),
+    (
+        VERIFY,
+        "floor = min(f)",
+        "floor = max(f)",
+        "the decreasing envelope's floor taken at max(f)",
+        ENVELOPE_TESTS,
+    ),
+    (
+        VERIFY,
+        "(floor,) * (len(f) - c)",
+        "env[c:]",
+        "the decreasing envelope's tail taken from the plain envelope",
+        ENVELOPE_TESTS,
+    ),
+    (
+        ORACLES,
+        "rng.uniform(-1.0, 1.0)",
+        "rng.uniform(-1.5, 1.5)",
+        "random_grid's steps exceed one, where the rate is infinite",
+        GOLDEN_FAST,
+    ),
+    (
+        INIT,
+        '"lower_convex_envelope": "envelope",',
+        '"lower_convex_envelope": "verify",',
+        "_HOMES names verify, which re-exports it, as lower_convex_envelope's home",
+        PUBLIC_NAMES,
+    ),
+    (
+        RATEFN,
+        "if TYPE_CHECKING:",
+        "if True:",
+        "ratefn imports shapes eagerly, so bound loads it",
+        KERNEL_LOADS,
     ),
 ]
 

@@ -426,7 +426,7 @@ def _main(*argv):
         pytest.param("from subpart import cli; cli.build_parser()", CLI_MODULES, id="build_parser"),
         pytest.param(_main("count", "4,2,1"), CLI_MODULES, id="count"),
         pytest.param(_main("pn", "30"), CLI_MODULES, id="pn"),
-        pytest.param(_main("bound", "4,2,1"), CLI_MODULES + ("ratefn", "shapes"), id="bound"),
+        pytest.param(_main("bound", "4,2,1"), CLI_MODULES + ("ratefn",), id="bound"),
         # the branch of _scan_maxima that runs a kernel imports its module:
         # the branch and bound at k = 1, the chain walk at k >= 2
         pytest.param(
@@ -554,10 +554,11 @@ def test_forked_verify_prints_buffered_stdout_once(tmp_path):
     assert lines[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed at level fast"
 
 
-# library names that only verify and the tests use; they moved beside the
-# oracles and out of the package's public surface
+# library names that only verify and the tests used; they moved beside the
+# oracles, or were deleted, and are off the package's public surface
 MOVED_NAMES = (
     "ConstantsReport",
+    "DiscreteFunction",
     "decreasing_lower_convex_envelope",
     "enumerate_partitions",
     "hardy_ramanujan_exponent",

@@ -1,5 +1,5 @@
 """The value records of the package: construction, equality, hashing,
-immutability and repr, the same for all ten classes."""
+immutability and repr, the same for all nine classes."""
 
 import copy
 import math
@@ -9,7 +9,6 @@ import re
 import pytest
 
 from subpart.counting import CountResult, EnvelopeBound
-from subpart.envelope import DiscreteFunction
 from subpart.maximizer import MaximizerReport, ShapeReport
 from subpart.partitions import LatticeProfile, Partition, Record
 from subpart.shapes import PiecewiseLinearShape
@@ -28,7 +27,6 @@ COUNT = CountResult(19, "row-dp", {"partition": "4,2,1"})
 RECORDS = [
     (Partition, ("parts",), ((4, 2, 1),)),
     (LatticeProfile, ("lo", "hi", "heights"), (-1, 1, (1, 2, 1))),
-    (DiscreteFunction, ("lo", "values"), (2, (1.0, 0.5, 2.0))),
     (PiecewiseLinearShape, ("kinks",), (TENT.kinks,)),
     (EnvelopeBound, ("log_value", "value"), (1.5, math.exp(1.5))),
     (
@@ -156,8 +154,6 @@ def test_partition_n_is_cached():
 
 def test_stored_fields_are_normalized():
     assert Partition([3, 1]).parts == (3, 1)
-    values = DiscreteFunction(0, [1, 2]).values
-    assert values == (1.0, 2.0) and all(type(v) is float for v in values)
     kinks = PiecewiseLinearShape([[0, 0]]).kinks
     assert kinks == ((0.0, 0.0),) and all(type(v) is float for v in kinks[0])
 
@@ -179,7 +175,6 @@ def test_stored_fields_are_normalized():
             "profile increments must be +-1",
             id="flat steps above |j|",
         ),
-        (lambda: DiscreteFunction(0, ()), "domain must be nonempty"),
         (lambda: PiecewiseLinearShape(()), "a piecewise-linear shape needs at least one kink"),
         (
             lambda: PiecewiseLinearShape(((0.0, 0.0), (0.0, 0.0))),
