@@ -75,19 +75,27 @@ def is_subpartition(mu, lam):
     return all(m <= l for m, l in zip(mu, lam))
 
 
-def poset_chain_count(parts, k, strict=False):
-    """Count nested k-tuples mu_k <= ... <= mu_1 <= lam (consecutive ones
-    distinct when strict) by enumeration: over the subpartition list,
-    level by level up the containment poset, so no k-tuple is listed."""
+def poset_chain_counts(parts, k):
+    """The pair (weak, strict) of lists whose entry m - 1 counts the nested
+    m-tuples mu_m <= ... <= mu_1 <= lam (consecutive ones distinct in the
+    strict list), for m = 1..k, k >= 1, by enumeration: one subpartition
+    list and one containment map serve both walks, which go level by level
+    up the poset, so no m-tuple is listed.  Both lists start with the
+    number of subpartitions."""
     subs = brute_subpartitions(parts)
     below = {mu: [nu for nu in subs if is_subpartition(nu, mu)] for mu in subs}
-    level = {mu: 1 for mu in subs}
-    for _ in range(k - 1):
-        level = {
-            mu: sum(level[nu] for nu in below[mu] if not (strict and nu == mu))
-            for mu in subs
-        }
-    return sum(level.values())
+    walks = []
+    for strict in (False, True):
+        level = dict.fromkeys(subs, 1)
+        counts = [len(subs)]
+        for _ in range(k - 1):
+            level = {
+                mu: sum(level[nu] for nu in below[mu] if not (strict and nu == mu))
+                for mu in subs
+            }
+            counts.append(sum(level.values()))
+        walks.append(counts)
+    return tuple(walks)
 
 
 def binomial_chain_count(parts, k):

@@ -7,15 +7,18 @@ runs everything at the documented sizes.  Each check returns a CheckResult;
 a check failure never raises, it reports.  Each check draws from its own
 seeded RNG and shares no state with another but one table of the
 library's counts (``count_subpartitions``, and ``count_kchains`` weak and
-strict), which each process of a run fills as its checks ask and empties
-when its half starts and when it returns; so ``run_verification`` runs
-the second half of the registry in one forked child while this process
-runs the first, and the results do not depend on where a check ran.
+strict) and scans (``find_maximizers``), which each process of a run
+fills as its checks ask and empties when its half starts and when it
+returns; so ``run_verification`` runs the last 17 checks of the registry
+(``functional-optimality`` and every counting, maximizer and output
+check) in one forked child while this process runs the first 15 (the
+partition, envelope and rate-function checks and the first two of the
+shape functional), and the results do not depend on where a check ran.
 Spans a tracer records inside the child stay there: per-check seconds
 and pass counts come back with the results, layer timings do not.
 
 The independent routes the counting checks compare against (enumeration,
-the poset chain counter, MacMahon's box product, the memoized pentagonal
+the poset chain counts, MacMahon's box product, the memoized pentagonal
 recurrence), the numeric Legendre transform, the quadrature behind the
 limit-curve constants, and the random grids of the envelope checks come
 from ``subpart.oracles``, which the test suite shares.  They count without
@@ -33,6 +36,7 @@ import math
 import random
 import time
 from itertools import islice
+from operator import le
 from typing import Callable, Sequence
 
 from . import oracles, render
@@ -50,7 +54,7 @@ from .counting import (
     partition_count,
 )
 from .envelope import lower_convex_envelope
-from .maximizer import HR_RATE, find_maximizers, maximizer_report
+from .maximizer import HR_RATE, MaximizerReport, find_maximizers, maximizer_report
 from .oracles import enumerate_partitions
 from .partitions import DEFAULT_SEED, Partition, Record, conjugate, profile
 from .ratefn import (
@@ -138,23 +142,58 @@ def _all_partitions_upto(n_max: int) -> list[Partition]:
     return out
 
 
+# The library's counts and scans of the checks that run in this process:
+# ``_run_checks`` empties it when it starts and when it returns, so a run
+# computes each once and no run reuses another's.  A count is filed by
+# (lam's parts, k, strict), with ``count_subpartitions`` under k = None,
+# apart from ``count_kchains`` at k = 1: the same number by another entry
+# point, and a check that names either one must still call it.  A scan's
+# report is filed by (n, k), a pair, so it never meets a count's triple.
+_COUNTS: dict[tuple, int | MaximizerReport] = {}
+
+
+def _subpartitions(lam: Partition) -> int:
+    """``count_subpartitions(lam).value``, from the run's table."""
+    key = (lam.parts, None, False)
+    if key not in _COUNTS:
+        _COUNTS[key] = count_subpartitions(lam).value
+    return _COUNTS[key]
+
+
+def _chains(lam: Partition, k: int, strict: bool = False) -> int:
+    """``count_kchains(lam, k, strict).value``, from the run's table."""
+    key = (lam.parts, k, strict)
+    if key not in _COUNTS:
+        _COUNTS[key] = count_kchains(lam, k, strict=strict).value
+    return _COUNTS[key]
+
+
+def _scan(n: int, k: int) -> MaximizerReport:
+    """``find_maximizers(n, k)``, from the run's table."""
+    key = (n, k)
+    if key not in _COUNTS:
+        _COUNTS[key] = find_maximizers(n, k)
+    return _COUNTS[key]
+
+
 # ---------------------------------------------------------------- partitions
 
 
 def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Containment of diagrams must match pointwise order of profiles."""
-    lams = _all_partitions_upto(caps.order_pairs_n)
-    profiles = [profile(lam) for lam in lams]
+    n = caps.order_pairs_n
+    lams = _all_partitions_upto(n)
+    # the window of a partition of size <= n lies inside -n..n, and outside
+    # its window a profile is |j|: so one row on -n..n holds each profile
+    rows = [tuple(map(profile(lam).value, range(-n, n + 1))) for lam in lams]
     checked = 0
-    for mu, pm in zip(lams, profiles):
-        for lam, pl in zip(lams, profiles):
-            lo = min(pm.lo, pl.lo)
-            hi = max(pm.hi, pl.hi)
-            dominated = all(pm.value(j) <= pl.value(j) for j in range(lo, hi + 1))
+    for mu, row_mu in zip(lams, rows):
+        for lam, row_lam in zip(lams, rows):
+            dominated = all(map(le, row_mu, row_lam))
             if dominated != oracles.is_subpartition(mu, lam):
                 return False, f"mismatch at mu={mu} lam={lam}"
             checked += 1
-    return True, f"{checked} ordered pairs, sizes <= {caps.order_pairs_n}"
+    return True, f"{checked} ordered pairs, sizes <= {n}"
 
 
 def check_profile_area(caps: VerifyCaps, rng) -> tuple[bool, str]:
@@ -482,7 +521,7 @@ def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
     for _ in range(20):
         shapes.append(random_shape(rng))
     for n in (4, 9, 16, 25):
-        report = find_maximizers(n)
+        report = _scan(n, 1)
         shapes.append(rescale(profile(report.maximizers[0]), n).envelope())
     curve = VershikCurve()
     for m in (8, 16, 32):
@@ -501,31 +540,6 @@ def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 # ------------------------------------------------------------------ counting
 
-# The library's counts of the checks that run in this process, by (lam's
-# parts, k, strict): ``_run_checks`` empties it when it starts and when it
-# returns, so a run computes each count once and no run reuses another's.
-# ``count_subpartitions`` is filed under k = None, apart from
-# ``count_kchains`` at k = 1: the same number by another entry point, and a
-# check that names either one must still call it.
-_COUNTS: dict[tuple[tuple[int, ...], int | None, bool], int] = {}
-
-
-def _subpartitions(lam: Partition) -> int:
-    """``count_subpartitions(lam).value``, from the run's table."""
-    key = (lam.parts, None, False)
-    if key not in _COUNTS:
-        _COUNTS[key] = count_subpartitions(lam).value
-    return _COUNTS[key]
-
-
-def _chains(lam: Partition, k: int, strict: bool = False) -> int:
-    """``count_kchains(lam, k, strict).value``, from the run's table."""
-    key = (lam.parts, k, strict)
-    if key not in _COUNTS:
-        _COUNTS[key] = count_kchains(lam, k, strict=strict).value
-    return _COUNTS[key]
-
-
 def check_bridge_bijection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.paired_n):
@@ -542,11 +556,12 @@ def check_counting_brute_force(caps: VerifyCaps, rng) -> tuple[bool, str]:
     subpartition poset, weak and strict, k <= 3."""
     count = 0
     for lam in _all_partitions_upto(caps.brute_n):
-        if _subpartitions(lam) != len(oracles.brute_subpartitions(lam.parts)):
+        weak, strict_counts = oracles.poset_chain_counts(lam.parts, 3)
+        if _subpartitions(lam) != weak[0]:
             return False, f"subpartition count wrong at {lam}"
         for k in (1, 2, 3):
-            for strict in (False, True):
-                expected = oracles.poset_chain_count(lam.parts, k, strict)
+            for strict, poset in ((False, weak), (True, strict_counts)):
+                expected = poset[k - 1]
                 got = _chains(lam, k, strict)
                 if got != expected:
                     return False, (
@@ -652,17 +667,17 @@ def check_hr_exponent(caps: VerifyCaps, rng) -> tuple[bool, str]:
 
 
 def check_maximizer_ground_truth(caps: VerifyCaps, rng) -> tuple[bool, str]:
-    report = find_maximizers(4, 1)
+    report = _scan(4, 1)
     got = {m.parts for m in report.maximizers}
     if got != {(3, 1), (2, 1, 1)} or report.max_count.value != 7:
         return False, f"n=4 maximizers {got}, count {report.max_count.value}"
     # cross-check k=2 against the poset brute force
     brute = {
-        parts: oracles.poset_chain_count(parts, 2) for parts in enumerate_partitions(4)
+        parts: oracles.poset_chain_counts(parts, 2)[0][-1] for parts in enumerate_partitions(4)
     }
     best = max(brute.values())
     expect = {p for p, v in brute.items() if v == best}
-    report2 = find_maximizers(4, 2)
+    report2 = _scan(4, 2)
     got2 = {m.parts for m in report2.maximizers}
     if got2 != expect or report2.max_count.value != best:
         return False, f"n=4 k=2 maximizers {got2} vs brute {expect}"
@@ -679,7 +694,7 @@ def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
             have = set(winners)
             if any(conjugate(Partition(parts)).parts not in have for parts in winners):
                 return False, f"k={k} per-partition argmax not closed at n={n}"
-            report = find_maximizers(n, k)
+            report = _scan(n, k)
             if report.max_count.value != best or {m.parts for m in report.maximizers} != have:
                 return False, f"k={k} scan argmax differs from per-partition argmax at n={n}"
     return True, (
@@ -691,7 +706,7 @@ def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_maximizer_growth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     prev = 0
     for n in range(1, caps.sequence_n + 1):
-        report = find_maximizers(n, 1)
+        report = _scan(n, 1)
         if report.max_count.value <= prev:
             return False, f"max count not strictly increasing at n={n}"
         prev = report.max_count.value
@@ -706,8 +721,8 @@ def check_limit_shape_trend(caps: VerifyCaps, rng) -> tuple[bool, str]:
     curve's functional value."""
     ns = caps.trend_ns
     span = f"d[{ns[0]}..{ns[-1]}]"
-    small = [find_maximizers(n, 1) for n in range(1, 6)]
-    large = [find_maximizers(n, 1) for n in ns]
+    small = [_scan(n, 1) for n in range(1, 6)]
+    large = [_scan(n, 1) for n in ns]
     d_small = min(r.distance_to_vershik for r in small)
     d_large = min(r.distance_to_vershik for r in large)
     if d_large >= d_small:
@@ -728,7 +743,7 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
     same = []
     differ = []
     for n in range(1, caps.closure_chain_n + 1):
-        one, two = find_maximizers(n, 1), find_maximizers(n, 2)
+        one, two = _scan(n, 1), _scan(n, 2)
         m1, m2 = one.max_count.value, two.max_count.value
         if not m1 < m2 < m1 * m1:
             return False, f"M1={m1}, M2={m2} break M1 < M2 < M1^2 at n={n}"
@@ -810,17 +825,23 @@ CHECKS: list[tuple[str, Callable]] = [
 
 
 def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Every check of the registry, in its order: the first half here, the
-    second in one forked child (``counting._in_two``).  The first half
+    """Every check of the registry, in its order: the first 15 here, the
+    other 17 in one forked child (``counting._in_two``).  The first half
     holds ``enumeration-order-and-count`` and ``limit-curve-constants``,
-    so a tracer still sees enumeration and the constants' quadrature.
-    Each half computes each library count once, in a table of its own
-    process that lives only as long as the half (``_COUNTS``); the oracles
-    count without it."""
+    so a tracer still sees enumeration and the constants' quadrature; the
+    child holds every check that scans.  Each half computes each library
+    count and scan once, in a table of its own process that lives only as
+    long as the half (``_COUNTS``); the oracles count without it.
+
+    The split makes the larger half of a fast run the smallest.  Measured
+    in process at seed 7 (minimum of 30, shared 2-core host, Python
+    3.11), the halves take 22.2 and 21.3 ms, against 24.8 and 19.2 ms
+    split after ``functional-optimality``; at ``full`` (seed 2718,
+    minimum of 6 fresh runs) 142 and 282 ms."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
     caps = FULL if level == "full" else FAST
-    half = len(CHECKS) // 2
+    half = 15
     first, second = _in_two(
         lambda: _run_checks(CHECKS[:half], caps, seed),
         lambda: _run_checks(CHECKS[half:], caps, seed),

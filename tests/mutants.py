@@ -56,6 +56,10 @@ ENVELOPE_TESTS = ["tests/test_envelope.py"]
 FORKED_REGISTRY = ["tests/test_verify.py::test_forked_registry_matches_the_in_process_run"]
 OTHER_SEEDS = ["tests/test_verify.py::test_suite_passes_under_other_seeds"]
 COUNT_TABLE = ["tests/test_verify.py::test_no_count_outlives_its_run"]
+POSET = [
+    "tests/test_counting.py::"
+    "test_poset_chain_counts_match_the_determinant_and_the_run_length_transform"
+]
 BOUND_CELLS = ["tests/test_counting.py::test_envelope_bound_matches_the_cell_by_cell_route"]
 PARTITIONS_TESTS = ["tests/test_partitions.py"]
 # the direct tests of counting._in_two; the escape test runs first, so that
@@ -125,6 +129,20 @@ MUTANTS = [
         "key = (lam.parts, 1, False)",
         "verify's count table serves count_kchains at k = 1 the count_subpartitions value",
         ["tests/test_verify.py::test_chain_count_mismatch_names_the_determinant"],
+    ),
+    (
+        VERIFY,
+        "key = (n, k)",
+        "key = (n, 1)",
+        "verify's scan key drops k, so a k = 2 scan is served the k = 1 report",
+        COUNT_TABLE,
+    ),
+    (
+        VERIFY,
+        "all(map(le, row_mu, row_lam))",
+        "all(map(int.__lt__, row_mu, row_lam))",
+        "profile-order-compatibility compares profiles with lt, so no profile is below itself",
+        OTHER_SEEDS,
     ),
     (
         VERIFY,
@@ -559,8 +577,30 @@ MUTANTS = [
         ORACLES,
         "for _ in range(k - 1):",
         "for _ in range(k):",
-        "poset_chain_count sums one level too many",
-        GOLDEN_FULL,
+        "poset_chain_counts walks one level too many",
+        POSET,
+    ),
+    (
+        ORACLES,
+        "for strict in (False, True):",
+        "for strict in (False, False):",
+        "poset_chain_counts ignores strictness: both walks are weak",
+        POSET,
+    ),
+    (
+        ORACLES,
+        "            level = {\n"
+        "                mu: sum(level[nu] for nu in below[mu] if not (strict and nu == mu))\n"
+        "                for mu in subs\n"
+        "            }\n"
+        "            counts.append(sum(level.values()))\n",
+        "            counts.append(sum(level.values()))\n"
+        "            level = {\n"
+        "                mu: sum(level[nu] for nu in below[mu] if not (strict and nu == mu))\n"
+        "                for mu in subs\n"
+        "            }\n",
+        "poset_chain_counts records each count one level late",
+        POSET,
     ),
     (
         ORACLES,

@@ -76,6 +76,25 @@ def test_kchains_validation_and_caps():
         count_kchains(Partition((1,)), 1000, strict=True)
 
 
+def test_poset_chain_counts_match_the_determinant_and_the_run_length_transform():
+    # the poset walk against an independent route: its weak counts are the
+    # binomial determinant at every length, its strict ones their run-length
+    # transform, sum of (-1)^(k - m) C(k - 1, m - 1) W_m, as count_kchains
+    # takes it
+    for n in range(7):
+        for parts in oracles.enumerate_partitions(n):
+            for k in range(1, 5):
+                weak, strict = oracles.poset_chain_counts(parts, k)
+                assert weak == [oracles.binomial_chain_count(parts, m) for m in range(1, k + 1)]
+                assert strict == [
+                    sum(
+                        (-1) ** (j - m) * math.comb(j - 1, m - 1) * weak[m - 1]
+                        for m in range(1, j + 1)
+                    )
+                    for j in range(1, k + 1)
+                ], (parts, k)
+
+
 def test_strict_count_runs_one_elimination():
     # the weak counts of every length up to k are the leading minors of one
     # k x k matrix, so a strict count eliminates once

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,31 +73,42 @@ def test_chain_count_mismatch_names_the_determinant(monkeypatch):
 
 
 def test_no_count_outlives_its_run(monkeypatch):
-    # a count left in this process's table, here a wrong one, is not served
-    # to the forked half, which starts from a copy of that table
+    # a count or a scan left in this process's table, here a wrong one (the
+    # report of n = 5 filed under (4, 1)), is not served to the forked half,
+    # which starts from a copy of that table
     monkeypatch.setitem(verify._COUNTS, ((1,), 1, False), 0)
+    monkeypatch.setitem(verify._COUNTS, (4, 1), verify.find_maximizers(5, 1))
     assert all(r.passed for r in run_verification("fast", seed=7))
     assert verify._COUNTS == {}
-    # nor, in one process, is a count served from one run to the next
-    calls = []
+    # nor, in one process, is one served from one run to the next
+    calls = Counter()
 
-    def counted(real):
-        def count(*args, **kwargs):
-            calls.append(args)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
             return real(*args, **kwargs)
 
-        return count
+        return call
 
-    for name in ("count_subpartitions", "count_kchains"):
-        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    for name in ("count_subpartitions", "count_kchains", "find_maximizers"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     monkeypatch.delattr(os, "fork")
     made = []
     for _ in range(2):
         calls.clear()
         assert all(r.passed for r in run_verification("fast", seed=7))
         assert verify._COUNTS == {}
-        made.append(len(calls))
-    assert made[0] == made[1] > 0
+        made.append(dict(calls))
+    assert made[0] == made[1] and made[0]["count_kchains"] > 0
+    # each (n, k) is scanned once a half: the forked half's 26, and the two
+    # that csv-determinism and json-roundtrip make for themselves, since
+    # the table's reports are not what they render
+    assert made[0]["find_maximizers"] == 28
+    calls.clear()
+    monkeypatch.setattr(verify, "_COUNTS", {(10, 2): None, (6, 2): None})
+    for check in (verify.check_csv_determinism, verify.check_json_roundtrip):
+        assert check(FAST, random.Random(0))[0]
+    assert calls["find_maximizers"] == 2
 
 
 def test_unknown_level_rejected():
@@ -163,7 +175,7 @@ def test_verify_forks_once_and_runs_the_first_half_here(monkeypatch):
     assert [r.name for r in results] == NAMES and all(r.passed for r in results)
     assert len(forks) == 1
     # CI's traced verify run reads layers that only these two checks feed
-    assert here == NAMES[:16]
+    assert here == NAMES[:15]
     assert {"enumeration-order-and-count", "limit-curve-constants"} <= set(here)
     assert_no_child()
     assert open_fds() == fds
