@@ -100,8 +100,15 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
     stack = [(None, [1, 0], 1, 0, n)]
     while stack:
         path, counts, p, d, r = stack.pop()
-        split = min(r // 3, (r - d - 3) // 2)
-        deep = min(split, r // 4, (r - d - 4) // 3)
+        # each limit is the smaller of two terms, compared inline: a call
+        # of the builtin min() costs about three comparisons here; deep is
+        # read only as q <= deep with q <= split, so split is not a term
+        split, cap = r // 3, (r - d - 3) // 2
+        if cap < split:
+            split = cap
+        deep, cap = r // 4, (r - d - 4) // 3
+        if cap < deep:
+            deep = cap
         lifted, total = _row_step(counts)
         sums = list(accumulate(lifted))
         tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
@@ -110,7 +117,9 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
             grown = lifted + [total] * (q - p)
             # strict, so a subtree that can tie the best is still scored
             if sum(map(mul, grown, bounds[r - q][q])) >= best:
-                end = min((r - q) // 2, r - q - d - 3)
+                end, cap = (r - q) // 2, r - q - d - 3
+                if cap < end:
+                    end = cap
                 best = _family(tc, c0, c1, q, end, r - q, best, winners, (q, path))
                 leaves += end - q + 1
                 if q <= deep:
@@ -190,10 +199,12 @@ def _bound_table(n: int) -> list[list[list[int]]]:
             # B[r - q][q], or the one-part (r - q) where no second part fits
             above = table[r - q][q] if 3 * q <= r else range(r - q + 1, r - 2 * q, -1)
             sums = list(accumulate(reversed(above)))
-            bound = list(map(max, sums[::-1], bound))
+            sums.reverse()
+            bound = [s if s > b else b for s, b in zip(sums, bound)]
             rows.append(bound)
         rows.append(bound[:1])
-        table.append(rows[::-1])
+        rows.reverse()
+        table.append(rows)
     return table
 
 

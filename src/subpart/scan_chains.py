@@ -100,11 +100,25 @@ def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, 
     while stack:
         path, counts, p, d, r = stack.pop()
         first = p or 1
-        split = min(r // 3, (r - d - 3) // 2)
-        deep = min(split, r // 4, (r - d - 4) // 3)
-        # at k = 2 a child is pushed only if it pushes a child of its own:
-        # q <= (r - q) // 4 and q <= (r - q - d - 5) // 3
-        push = min(deep, r // 5, (r - d - 5) // 4) if k == 2 else deep
+        # each limit is the smaller of two terms, compared inline, not by a
+        # call of min(); push <= deep <= split needs no third term, as
+        # r - d >= 1 at every node and so each term is at most the one
+        # before: r // 5 <= r // 4 <= r // 3, and
+        # (r - d - 5) // 4 <= (r - d - 4) // 3 <= (r - d - 3) // 2
+        split, cap = r // 3, (r - d - 3) // 2
+        if cap < split:
+            split = cap
+        deep, cap = r // 4, (r - d - 4) // 3
+        if cap < deep:
+            deep = cap
+        if k == 2:
+            # a child is pushed only if it pushes a child of its own:
+            # q <= (r - q) // 4 and q <= (r - q - d - 5) // 3
+            push, cap = r // 5, (r - d - 5) // 4
+            if cap < push:
+                push = cap
+        else:
+            push = deep
         lifted = _lift(counts, p, k)
         for q in range(first, push + 1):
             stack.append(((q, path), [v + [v[-1]] * (q - p) for v in lifted], q, d + 1, r - q))
@@ -113,7 +127,9 @@ def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, 
             # of its children's leaves, taken from the last, so that R never falls
             ell, sums = len(lifted), None
             for q in range(split, first - 1, -1):
-                end = min((r - q) // 2, r - q - d - 3)
+                end, cap = (r - q) // 2, r - q - d - 3
+                if cap < end:
+                    end = cap
                 R = r - q - end + 2
                 if sums is None:
                     sums, at = _binomial_sums(lifted, binomials, n - R), R
@@ -212,8 +228,11 @@ def _pair_families(
     m < 0, moves the sums to that R, and Pascal's rule moves them up:
     R = max((r - q + 1) // 2, d + 3) + 2 rises by at most one a family."""
     first = p or 1
-    split = min(r // 3, (r - d - 3) // 2)
-    at = r - split - min((r - split) // 2, r - split - d - 3) + 2
+    split, cap = r // 3, (r - d - 3) // 2
+    if cap < split:
+        split = cap
+    end, cap = (r - split) // 2, r - split - d - 3
+    at = r - split - (end if end < cap else cap) + 2
     m = at - base
     c2 = m * (m - 1) // 2
     c3 = c2 * (m - 2) // 3
@@ -223,7 +242,9 @@ def _pair_families(
     h1, h2, h3 = h1 + m * h0, h2 + m * h1 + c2 * h0, h3 + m * h2 + c2 * h1 + c3 * h0
     leaves = 0
     for q in range(split, first - 1, -1):
-        end = min((r - q) // 2, r - q - d - 3)
+        end, cap = (r - q) // 2, r - q - d - 3
+        if cap < end:
+            end = cap
         R = r - q - end + 2
         if R > at:
             g1, g2, g3 = g1 + g0, g2 + g1, g3 + g2

@@ -7,13 +7,14 @@ runs everything at the documented sizes.  Each check returns a CheckResult;
 a check failure never raises, it reports.  Each check draws from its own
 seeded RNG and shares no state with another but one table of the
 library's counts (``count_subpartitions``, and ``count_kchains`` weak and
-strict) and scans (``find_maximizers``), which each process of a run
-fills as its checks ask and empties when its half starts and when it
-returns; so ``run_verification`` runs the last 17 checks of the registry
-(``functional-optimality`` and every counting, maximizer and output
-check) in one forked child while this process runs the first 15 (the
-partition, envelope and rate-function checks and the first two of the
-shape functional), and the results do not depend on where a check ran.
+strict), scans (``find_maximizers``), partition lists and profiles, which
+each process of a run fills as its checks ask and empties when its half
+starts and when it returns; so ``run_verification`` runs the last 17
+checks of the registry (``functional-optimality`` and every counting,
+maximizer and output check) in one forked child while this process runs
+the first 15 (the partition, envelope and rate-function checks and the
+first two of the shape functional), and the results do not depend on
+where a check ran.
 Spans a tracer records inside the child stay there: per-check seconds
 and pass counts come back with the results, layer timings do not.
 
@@ -56,7 +57,7 @@ from .counting import (
 from .envelope import lower_convex_envelope
 from .maximizer import HR_RATE, MaximizerReport, find_maximizers, maximizer_report
 from .oracles import enumerate_partitions
-from .partitions import DEFAULT_SEED, Partition, Record, conjugate, profile
+from .partitions import DEFAULT_SEED, LatticeProfile, Partition, Record, conjugate, profile
 from .ratefn import (
     FUNCTIONAL_MAX,
     VershikCurve,
@@ -135,21 +136,36 @@ FULL = VerifyCaps(
 )
 
 
-def _all_partitions_upto(n_max: int) -> list[Partition]:
-    out: list[Partition] = []
-    for n in range(n_max + 1):
-        out.extend(map(Partition, enumerate_partitions(n)))
-    return out
+# The library's counts, scans, partition lists and profiles of the checks
+# that run in this process: ``_run_checks`` empties it when it starts and
+# when it returns, so a run computes each once and no run reuses another's.
+# A count is filed by (lam's parts, k, strict), with ``count_subpartitions``
+# under k = None, apart from ``count_kchains`` at k = 1: the same number by
+# another entry point, and a check that names either one must still call
+# it.  A scan's report is filed by (n, k), a pair of ints, so it never
+# meets a count's triple; the partitions up to a size by ("partitions",
+# n_max) and a profile by ("profile", lam's parts), pairs led by a
+# string, so they meet neither.
+_COUNTS: dict[tuple, int | MaximizerReport | tuple[Partition, ...] | LatticeProfile] = {}
 
 
-# The library's counts and scans of the checks that run in this process:
-# ``_run_checks`` empties it when it starts and when it returns, so a run
-# computes each once and no run reuses another's.  A count is filed by
-# (lam's parts, k, strict), with ``count_subpartitions`` under k = None,
-# apart from ``count_kchains`` at k = 1: the same number by another entry
-# point, and a check that names either one must still call it.  A scan's
-# report is filed by (n, k), a pair, so it never meets a count's triple.
-_COUNTS: dict[tuple, int | MaximizerReport] = {}
+def _all_partitions_upto(n_max: int) -> tuple[Partition, ...]:
+    """Every partition of size at most n_max, by size, from the run's
+    table."""
+    key = ("partitions", n_max)
+    if key not in _COUNTS:
+        _COUNTS[key] = tuple(
+            Partition(parts) for n in range(n_max + 1) for parts in enumerate_partitions(n)
+        )
+    return _COUNTS[key]
+
+
+def _profile(lam: Partition) -> LatticeProfile:
+    """``profile(lam)``, from the run's table."""
+    key = ("profile", lam.parts)
+    if key not in _COUNTS:
+        _COUNTS[key] = profile(lam)
+    return _COUNTS[key]
 
 
 def _subpartitions(lam: Partition) -> int:
@@ -185,7 +201,7 @@ def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
     lams = _all_partitions_upto(n)
     # the window of a partition of size <= n lies inside -n..n, and outside
     # its window a profile is |j|: so one row on -n..n holds each profile
-    rows = [tuple(map(profile(lam).value, range(-n, n + 1))) for lam in lams]
+    rows = [tuple(map(_profile(lam).value, range(-n, n + 1))) for lam in lams]
     checked = 0
     for mu, row_mu in zip(lams, rows):
         for lam, row_lam in zip(lams, rows):
@@ -199,7 +215,7 @@ def check_profile_order(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_profile_area(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.formula_n):
-        if profile(lam).excess_area() != 2 * lam.n:
+        if _profile(lam).excess_area() != 2 * lam.n:
             return False, f"area identity fails at {lam}"
         count += 1
     return True, f"{count} profiles, n <= {caps.formula_n}"
@@ -208,7 +224,7 @@ def check_profile_area(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_profile_steps(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.formula_n):
-        prof = profile(lam)
+        prof = _profile(lam)
         if any(abs(d) != 1 for d in prof.increments()):
             return False, f"non-unit step at {lam}"
         if prof.heights[0] != abs(prof.lo) or prof.heights[-1] != abs(prof.hi):
@@ -220,8 +236,8 @@ def check_profile_steps(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_conjugation_reflection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.paired_n):
-        pl = profile(lam)
-        pc = profile(conjugate(lam))
+        pl = _profile(lam)
+        pc = _profile(conjugate(lam))
         span = max(abs(pl.lo), pl.hi, abs(pc.lo), pc.hi)
         for j in range(-span, span + 1):
             if pl.value(j) != pc.value(-j):
@@ -522,7 +538,7 @@ def check_functional_optimality(caps: VerifyCaps, rng) -> tuple[bool, str]:
         shapes.append(random_shape(rng))
     for n in (4, 9, 16, 25):
         report = _scan(n, 1)
-        shapes.append(rescale(profile(report.maximizers[0]), n).envelope())
+        shapes.append(rescale(_profile(report.maximizers[0]), n).envelope())
     curve = VershikCurve()
     for m in (8, 16, 32):
         # wide window so the boundary kinks land on |x| to within 1e-9
@@ -544,7 +560,7 @@ def check_bridge_bijection(caps: VerifyCaps, rng) -> tuple[bool, str]:
     count = 0
     for lam in _all_partitions_upto(caps.paired_n):
         a = _subpartitions(lam)
-        b = count_bridges_below(profile(lam)).value
+        b = count_bridges_below(_profile(lam)).value
         if a != b:
             return False, f"bridges {b} != subpartitions {a} at {lam}"
         count += 1
@@ -595,11 +611,11 @@ def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
     """Log of every count stays under the envelope bound; k-chains under k
     times it."""
     for lam in _all_partitions_upto(caps.formula_n):
-        bound = envelope_count_bound(profile(lam))
+        bound = envelope_count_bound(_profile(lam))
         if math.log(_subpartitions(lam)) > bound.log_value + 1e-9:
             return False, f"bound violated at {lam}"
     for lam in _all_partitions_upto(caps.chain_bound_n):
-        bound = envelope_count_bound(profile(lam))
+        bound = envelope_count_bound(_profile(lam))
         if math.log(_chains(lam, 2)) > 2 * bound.log_value + 1e-9:
             return False, f"2-chain bound violated at {lam}"
     return True, f"n <= {caps.formula_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
@@ -728,7 +744,7 @@ def check_limit_shape_trend(caps: VerifyCaps, rng) -> tuple[bool, str]:
     if d_large >= d_small:
         return False, f"no trend: min {span}={d_large:.4f} >= min d[1..5]={d_small:.4f}"
     for report in small + large:
-        env = rescale(profile(report.maximizers[0]), report.n).envelope()
+        env = rescale(_profile(report.maximizers[0]), report.n).envelope()
         if shape_functional(env) > FUNCTIONAL_MAX + 1e-9:
             return False, f"envelope functional too large at n={report.n}"
         if report.hr_reference - report.exponent <= 0.0:

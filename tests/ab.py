@@ -17,17 +17,30 @@ import subprocess
 import sys
 import time
 
-# verify's halves and whole fast run, in process at seed 7; two scans
-CASES = ("verify-first", "verify-second", "verify", "scan-45-1", "scan-28-2")
+# verify's halves and whole fast run, in process at seed 7; scans named
+# scan-<n>-<k>; the k = 1 scan's bound table at n = 45
+CASES = (
+    "verify-first",
+    "verify-second",
+    "verify",
+    "scan-45-1",
+    "scan-100-1",
+    "scan-28-2",
+    "scan-45-2",
+    "scan-30-3",
+    "bound-table-45",
+)
 
 
 def child(name, rounds):
-    from subpart import verify
+    from subpart import scan_bounded, verify
     from subpart.maximizer import _scan_maxima
 
     if name.startswith("scan-"):
         n, k = map(int, name.split("-")[1:])
         run = lambda: _scan_maxima(n, k)
+    elif name == "bound-table-45":
+        run = lambda: scan_bounded._bound_table(45)
     elif name == "verify":
         run = lambda: verify.run_verification("fast", seed=7)
     else:  # the two halves that run_verification hands the fork helper
@@ -71,7 +84,8 @@ def main(argv):
             f"{name}: base {statistics.median(a):.2f} ms (q1 {q1:.2f}, q3 {q3:.2f}), "
             f"head {statistics.median(b):.2f} ms, head/base "
             f"{statistics.median(b) / statistics.median(a):.3f}, "
-            f"head won {sum(map(float.__lt__, b, a))}/{args.pairs}; A/A {aa[1] / aa[0]:.3f}"
+            f"head won {sum(map(float.__lt__, b, a))}/{args.pairs}; A/A {aa[1] / aa[0]:.3f}",
+            flush=True,
         )
 
 

@@ -46,7 +46,10 @@ RATEFN = "src/subpart/ratefn.py"
 INIT = "src/subpart/__init__.py"
 GOLDEN_FAST = ["tests/test_cli.py::test_output_matches_golden_bytes"]
 GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
-SCAN = ["tests/test_maximizer.py"]
+MAXIMIZER_TESTS = "tests/test_maximizer.py"
+SCAN = [MAXIMIZER_TESTS]
+BOUND_RECURRENCE = [f"{MAXIMIZER_TESTS}::test_bound_table_matches_its_recurrence"]
+BOUNDED_COUNTS = [f"{MAXIMIZER_TESTS}::test_bounded_scan_counts_at_n45"]
 PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
@@ -251,6 +254,41 @@ MUTANTS = [
     ),
     (
         SCAN_BOUNDED,
+        "s if s > b else b",
+        "s if s < b else b",
+        "k = 1 bound table keeps the running min, not the max",
+        BOUND_RECURRENCE,
+    ),
+    (
+        SCAN_BOUNDED,
+        "rows.reverse()\n        table.append(rows)",
+        "table.append(rows)",
+        "k = 1 bound table's rows filed from p = r // 2 down",
+        BOUND_RECURRENCE,
+    ),
+    (
+        SCAN_BOUNDED,
+        "split, cap = r // 3, (r - d - 3) // 2",
+        "split, cap = r // 3, (r - d - 4) // 2",
+        "k = 1 node's last child one part too small, losing its family",
+        BOUNDED_COUNTS,
+    ),
+    (
+        SCAN_BOUNDED,
+        "deep, cap = r // 4, (r - d - 4) // 3",
+        "deep, cap = r // 4, (r - d - 5) // 3",
+        "k = 1 node pushes one child too few, losing its subtree",
+        BOUNDED_COUNTS,
+    ),
+    (
+        SCAN_BOUNDED,
+        "end, cap = (r - q) // 2, r - q - d - 3",
+        "end, cap = (r - q) // 2, r - q - d - 2",
+        "k = 1 family scores one leaf past its last, one part too many",
+        BOUNDED_COUNTS,
+    ),
+    (
+        SCAN_BOUNDED,
         "fall = 3 * T",
         "fall = 2 * T",
         "k = 1 family's second difference 3T becomes 2T",
@@ -286,17 +324,17 @@ MUTANTS = [
     ),
     (
         SCAN_CHAINS,
-        "push = min(deep, r // 5, (r - d - 5) // 4)",
-        "push = min(deep, r // 4, (r - d - 5) // 4)",
+        "push, cap = r // 5, (r - d - 5) // 4",
+        "push, cap = r // 4, (r - d - 5) // 4",
         "k = 2 pushes children that push nothing (pops rise, leaves stay)",
-        SCAN,
+        [f"{MAXIMIZER_TESTS}::test_scan_pushes_only_nodes_with_grandchildren[2]"],
     ),
     (
         SCAN_CHAINS,
-        "push = min(deep, r // 5, (r - d - 5) // 4)",
-        "push = min(deep, r // 6, (r - d - 5) // 4)",
+        "push, cap = r // 5, (r - d - 5) // 4",
+        "push, cap = r // 6, (r - d - 5) // 4",
         "k = 2 derives children that push, losing their subtrees' leaves",
-        SCAN,
+        [f"{MAXIMIZER_TESTS}::test_scan_scores_every_leaf_once[2]"],
     ),
     (
         SCAN_CHAINS,

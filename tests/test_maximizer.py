@@ -229,6 +229,33 @@ def test_bound_table_is_admissible():
     assert (tight, loose) == (261, 124)
 
 
+def test_bound_table_matches_its_recurrence():
+    # B[r][p][y] straight from the recurrence in _scan_bounded's docstring:
+    # each entry its own max over every bottom part q >= max(p, 1), with no
+    # running max shared between rows
+    n, want = 40, {}
+
+    def above(r, q, v):
+        # B[r - q][q][v], or the one-part r - q - v + 1 once no second part fits
+        return want[r - q, q, v] if 3 * q <= r else r - q - v + 1
+
+    for r in range(n + 1):
+        for p in range(r // 2 + 1):
+            for y in range(p + 1):
+                stacks = [
+                    sum(above(r, q, v) for v in range(y, q + 1))
+                    for q in range(max(p, 1), r // 2 + 1)
+                ]
+                want[r, p, y] = max([r - y + 1, *stacks])
+    got = {
+        (r, p, y): bound
+        for r, rows in enumerate(scan_bounded._bound_table(n))
+        for p, row in enumerate(rows)
+        for y, bound in enumerate(row)
+    }
+    assert got == want
+
+
 def test_bound_table_suffix_break_premise():
     # B[r][q][y] bounds sum_{v=y}^{q'} B[r - q'][q'][v] for every q' >= q,
     # so the bound U(q) of a child that fails its test bounds the tests of
