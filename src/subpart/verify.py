@@ -5,16 +5,14 @@ runnable at two effort levels.
 the limit-shape trend so the whole battery finishes in seconds; ``full``
 runs everything at the documented sizes.  Each check returns a CheckResult;
 a check failure never raises, it reports.  Each check draws from its own
-seeded RNG and shares no state with another but one table of the
-library's counts (``count_subpartitions``, and ``count_kchains`` weak and
-strict), scans (``find_maximizers``), partition lists and profiles, which
-each process of a run fills as its checks ask and empties when its half
-starts and when it returns; so ``run_verification`` runs the last 17
-checks of the registry (``functional-optimality`` and every counting,
-maximizer and output check) in one forked child while this process runs
-the first 15 (the partition, envelope and rate-function checks and the
-first two of the shape functional), and the results do not depend on
-where a check ran.
+seeded RNG and shares no state with another but the caches of the
+library's counts, scans, partition lists and profiles, one per helper,
+emptied when each half of a run starts and when it returns; so
+``run_verification`` runs the last 17 checks of the registry
+(``functional-optimality`` and every counting, maximizer and output
+check) in one forked child while this process runs the first 15 (the
+partition, envelope and rate-function checks and the first two of the
+shape functional), and the results do not depend on where a check ran.
 Spans a tracer records inside the child stay there: per-check seconds
 and pass counts come back with the results, layer timings do not.
 
@@ -23,9 +21,9 @@ the poset chain counts, MacMahon's box product, the memoized pentagonal
 recurrence), the numeric Legendre transform, the quadrature behind the
 limit-curve constants, and the random grids of the envelope checks come
 from ``subpart.oracles``, which the test suite shares.  They count without
-the table, so ``oracles.scan_maximizers`` stays a recount of its own, and
+the caches, so ``oracles.scan_maximizers`` stays a recount of its own, and
 the checks of reproducible output (``json-roundtrip``, ``csv-determinism``)
-take nothing from it either.  The objects of the convex-analysis lemma
+take nothing from them either.  The objects of the convex-analysis lemma
 (the decreasing envelope and path energies, each on the plain tuple of a
 function's values on 0..len - 1) and the constants residuals live here,
 beside the checks that use them.
@@ -36,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from functools import cache
 from itertools import islice
 from operator import le
 from typing import Callable, Sequence
@@ -136,60 +135,38 @@ FULL = VerifyCaps(
 )
 
 
-# The library's counts, scans, partition lists and profiles of the checks
-# that run in this process: ``_run_checks`` empties it when it starts and
-# when it returns, so a run computes each once and no run reuses another's.
-# A count is filed by (lam's parts, k, strict), with ``count_subpartitions``
-# under k = None, apart from ``count_kchains`` at k = 1: the same number by
-# another entry point, and a check that names either one must still call
-# it.  A scan's report is filed by (n, k), a pair of ints, so it never
-# meets a count's triple; the partitions up to a size by ("partitions",
-# n_max) and a profile by ("profile", lam's parts), pairs led by a
-# string, so they meet neither.
-_COUNTS: dict[tuple, int | MaximizerReport | tuple[Partition, ...] | LatticeProfile] = {}
+# The library's values the checks share: one cache per helper, emptied by
+# ``_run_checks`` when each half starts and when it returns, so a run
+# computes each value once and no run reuses another's.
 
 
+@cache
 def _all_partitions_upto(n_max: int) -> tuple[Partition, ...]:
-    """Every partition of size at most n_max, by size, from the run's
-    table."""
-    key = ("partitions", n_max)
-    if key not in _COUNTS:
-        _COUNTS[key] = tuple(
-            Partition(parts) for n in range(n_max + 1) for parts in enumerate_partitions(n)
-        )
-    return _COUNTS[key]
+    """Every partition of size at most n_max, by size."""
+    return tuple(Partition(parts) for n in range(n_max + 1) for parts in enumerate_partitions(n))
 
 
+@cache
 def _profile(lam: Partition) -> LatticeProfile:
-    """``profile(lam)``, from the run's table."""
-    key = ("profile", lam.parts)
-    if key not in _COUNTS:
-        _COUNTS[key] = profile(lam)
-    return _COUNTS[key]
+    return profile(lam)
 
 
+@cache
 def _subpartitions(lam: Partition) -> int:
-    """``count_subpartitions(lam).value``, from the run's table."""
-    key = (lam.parts, None, False)
-    if key not in _COUNTS:
-        _COUNTS[key] = count_subpartitions(lam).value
-    return _COUNTS[key]
+    return count_subpartitions(lam).value
 
 
-def _chains(lam: Partition, k: int, strict: bool = False) -> int:
-    """``count_kchains(lam, k, strict).value``, from the run's table."""
-    key = (lam.parts, k, strict)
-    if key not in _COUNTS:
-        _COUNTS[key] = count_kchains(lam, k, strict=strict).value
-    return _COUNTS[key]
+@cache
+def _chains(lam: Partition, k: int, strict: bool) -> int:
+    return count_kchains(lam, k, strict=strict).value
 
 
+@cache
 def _scan(n: int, k: int) -> MaximizerReport:
-    """``find_maximizers(n, k)``, from the run's table."""
-    key = (n, k)
-    if key not in _COUNTS:
-        _COUNTS[key] = find_maximizers(n, k)
-    return _COUNTS[key]
+    return find_maximizers(n, k)
+
+
+_PER_RUN = (_all_partitions_upto, _profile, _subpartitions, _chains, _scan)
 
 
 # ---------------------------------------------------------------- partitions
@@ -594,7 +571,7 @@ def check_macmahon_box(caps: VerifyCaps, rng) -> tuple[bool, str]:
         for b in range(1, 4):
             for k in range(1, 4):
                 want = oracles.macmahon_box(a, b, k)
-                got = _chains(Partition((b,) * a), k)
+                got = _chains(Partition((b,) * a), k, False)
                 if got != want:
                     return False, f"box {a}x{b}x{k}: {got} != {want}"
     return True, "all boxes a, b, k <= 3"
@@ -616,7 +593,7 @@ def check_envelope_bound(caps: VerifyCaps, rng) -> tuple[bool, str]:
             return False, f"bound violated at {lam}"
     for lam in _all_partitions_upto(caps.chain_bound_n):
         bound = envelope_count_bound(_profile(lam))
-        if math.log(_chains(lam, 2)) > 2 * bound.log_value + 1e-9:
+        if math.log(_chains(lam, 2, False)) > 2 * bound.log_value + 1e-9:
             return False, f"2-chain bound violated at {lam}"
     return True, f"n <= {caps.formula_n} (k=1), n <= {caps.chain_bound_n} (k=2)"
 
@@ -763,7 +740,7 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
         m1, m2 = one.max_count.value, two.max_count.value
         if not m1 < m2 < m1 * m1:
             return False, f"M1={m1}, M2={m2} break M1 < M2 < M1^2 at n={n}"
-        if any(_chains(lam, 2) > m2 for lam in one.maximizers):
+        if any(_chains(lam, 2, False) > m2 for lam in one.maximizers):
             return False, f"a k=1 winner beats the k=2 maximum at n={n}"
         if any(_subpartitions(lam) > m1 for lam in two.maximizers):
             return False, f"a k=2 winner beats the k=1 maximum at n={n}"
@@ -846,8 +823,8 @@ def run_verification(level: str = "fast", seed: int = DEFAULT_SEED) -> list[Chec
     holds ``enumeration-order-and-count`` and ``limit-curve-constants``,
     so a tracer still sees enumeration and the constants' quadrature; the
     child holds every check that scans.  Each half computes each library
-    count and scan once, in a table of its own process that lives only as
-    long as the half (``_COUNTS``); the oracles count without it.
+    count and scan once, in caches that live only as long as the half
+    (``_PER_RUN``); the oracles count without them.
 
     The split makes the larger half of a fast run the smallest.  Measured
     in process at seed 7 (minimum of 30, shared 2-core host, Python
@@ -870,7 +847,8 @@ def _run_checks(
 ) -> list[tuple[str, bool, str, float]]:
     """(name, passed, detail, seconds) of each check, plain values that
     marshal can carry out of a forked child."""
-    _COUNTS.clear()
+    for helper in _PER_RUN:
+        helper.cache_clear()
     results = []
     for name, fn in checks:
         # string seeds hash stably (sha512), unlike hash() under PYTHONHASHSEED
@@ -881,5 +859,6 @@ def _run_checks(
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, passed, detail, time.perf_counter() - start))
-    _COUNTS.clear()
+    for helper in _PER_RUN:
+        helper.cache_clear()
     return results

@@ -7,7 +7,8 @@ BASE and HEAD are checkouts with a src/ directory, such as an unpacked
 run in pairs, one per tree, alternating which goes first; each warms the
 case up once and prints the median of its rounds.  The script prints each
 tree's median over the pairs (BASE's with its quartiles), HEAD/BASE, the
-pairs HEAD won, and one A/A pair of HEAD against itself.
+pairs HEAD won, and the lowest and highest ratio of three A/A pairs of
+HEAD against itself: the noise a HEAD/BASE ratio is read against.
 """
 
 import argparse
@@ -27,7 +28,9 @@ CASES = (
     "scan-100-1",
     "scan-28-2",
     "scan-45-2",
+    "scan-60-2",
     "scan-30-3",
+    "scan-45-3",
     "bound-table-45",
 )
 
@@ -79,12 +82,16 @@ def main(argv):
             for runs, tree in sides if i % 2 == 0 else sides[::-1]:
                 runs.append(median_ms(tree, name, args.rounds))
         q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
-        aa = [median_ms(args.head, name, args.rounds) for _ in range(2)]
+        aa = [
+            median_ms(args.head, name, args.rounds) / median_ms(args.head, name, args.rounds)
+            for _ in range(3)
+        ]
         print(
             f"{name}: base {statistics.median(a):.2f} ms (q1 {q1:.2f}, q3 {q3:.2f}), "
             f"head {statistics.median(b):.2f} ms, head/base "
             f"{statistics.median(b) / statistics.median(a):.3f}, "
-            f"head won {sum(map(float.__lt__, b, a))}/{args.pairs}; A/A {aa[1] / aa[0]:.3f}",
+            f"head won {sum(map(float.__lt__, b, a))}/{args.pairs}; "
+            f"A/A {min(aa):.3f} to {max(aa):.3f}",
             flush=True,
         )
 

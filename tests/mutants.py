@@ -49,7 +49,10 @@ GOLDEN_FULL = ["tests/test_verify.py::test_full_level_matches_golden"]
 MAXIMIZER_TESTS = "tests/test_maximizer.py"
 SCAN = [MAXIMIZER_TESTS]
 BOUND_RECURRENCE = [f"{MAXIMIZER_TESTS}::test_bound_table_matches_its_recurrence"]
-BOUNDED_COUNTS = [f"{MAXIMIZER_TESTS}::test_bounded_scan_counts_at_n45"]
+BOUNDED_N45 = [f"{MAXIMIZER_TESTS}::test_bounded_scan_counts_at_n45"]
+CHAIN_SCAN_2 = [f"{MAXIMIZER_TESTS}::test_chain_scan_matches_per_partition_counts[2]"]
+EVERY_LEAF_2 = [f"{MAXIMIZER_TESTS}::test_scan_scores_every_leaf_exactly[2-16]"]
+PAIR_WALK = ["tests/test_properties.py::test_pair_walk_matches_generic_walk"]
 PROPERTIES = ["tests/test_properties.py"]
 RECORDS = ["tests/test_records.py"]
 CLI_TESTS = ["tests/test_cli.py"]
@@ -58,7 +61,8 @@ PUBLIC_NAMES = ["tests/test_cli.py::test_public_names_resolve_to_their_home_modu
 ENVELOPE_TESTS = ["tests/test_envelope.py"]
 FORKED_REGISTRY = ["tests/test_verify.py::test_forked_registry_matches_the_in_process_run"]
 OTHER_SEEDS = ["tests/test_verify.py::test_suite_passes_under_other_seeds"]
-COUNT_TABLE = ["tests/test_verify.py::test_no_count_outlives_its_run"]
+PER_RUN = ["tests/test_verify.py::test_no_count_outlives_its_run"]
+DETERMINANT_NAMED = ["tests/test_verify.py::test_chain_count_mismatch_names_the_determinant"]
 POSET = [
     "tests/test_counting.py::"
     "test_poset_chain_counts_match_the_determinant_and_the_run_length_transform"
@@ -114,31 +118,45 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "key = (lam.parts, k, strict)",
-        "key = (lam.parts, strict)",
-        "verify's count table keyed without k, so a 2-chain count is served the 1-chain one",
+        "count_kchains(lam, k, strict=strict).value",
+        "count_kchains(lam, 1, strict=strict).value",
+        "verify's chain count ignores k, so a 2-chain count is the 1-chain one",
         OTHER_SEEDS,
     ),
     (
         VERIFY,
-        "key = (lam.parts, k, strict)",
-        "key = (lam.parts, k)",
-        "verify's count table keyed without strict, so a strict count is served the weak one",
+        "count_kchains(lam, k, strict=strict).value",
+        "count_kchains(lam, k).value",
+        "verify's chain count drops strict, so a strict count is the weak one",
         OTHER_SEEDS,
     ),
     (
         VERIFY,
-        "key = (lam.parts, None, False)",
-        "key = (lam.parts, 1, False)",
-        "verify's count table serves count_kchains at k = 1 the count_subpartitions value",
-        ["tests/test_verify.py::test_chain_count_mismatch_names_the_determinant"],
+        "return count_subpartitions(lam).value",
+        "return _chains(lam, 1, False)",
+        "verify serves count_subpartitions from count_kchains at k = 1",
+        DETERMINANT_NAMED,
     ),
     (
         VERIFY,
-        "key = (n, k)",
-        "key = (n, 1)",
-        "verify's scan key drops k, so a k = 2 scan is served the k = 1 report",
-        COUNT_TABLE,
+        "return find_maximizers(n, k)",
+        "return find_maximizers(n, 1)",
+        "verify's scan ignores k, so a k = 2 scan is served the k = 1 report",
+        PER_RUN,
+    ),
+    (
+        VERIFY,
+        "_PER_RUN = (_all_partitions_upto, _profile, _subpartitions, _chains, _scan)",
+        "_PER_RUN = (_all_partitions_upto, _profile, _subpartitions, _chains)",
+        "verify's scan cache is never emptied, so a run is served another's reports",
+        PER_RUN,
+    ),
+    (
+        VERIFY,
+        "_PER_RUN = (_all_partitions_upto, _profile, _subpartitions, _chains, _scan)",
+        "_PER_RUN = (_all_partitions_upto, _profile, _subpartitions, _scan)",
+        "verify's chain cache is never emptied, so a run is served another's counts",
+        PER_RUN,
     ),
     (
         VERIFY,
@@ -149,17 +167,17 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "_COUNTS.clear()\n    results = []",
+        "for helper in _PER_RUN:\n        helper.cache_clear()\n    results = []",
         "results = []",
-        "verify's count table not emptied when a run starts",
-        COUNT_TABLE,
+        "verify's caches not emptied when a half starts",
+        PER_RUN,
     ),
     (
         VERIFY,
-        "_COUNTS.clear()\n    return results",
+        "for helper in _PER_RUN:\n        helper.cache_clear()\n    return results",
         "return results",
-        "verify's count table not emptied when a run returns",
-        COUNT_TABLE,
+        "verify's caches not emptied when a half returns",
+        PER_RUN,
     ),
     (
         SCAN_BOUNDED,
@@ -271,21 +289,21 @@ MUTANTS = [
         "split, cap = r // 3, (r - d - 3) // 2",
         "split, cap = r // 3, (r - d - 4) // 2",
         "k = 1 node's last child one part too small, losing its family",
-        BOUNDED_COUNTS,
+        BOUNDED_N45,
     ),
     (
         SCAN_BOUNDED,
         "deep, cap = r // 4, (r - d - 4) // 3",
         "deep, cap = r // 4, (r - d - 5) // 3",
         "k = 1 node pushes one child too few, losing its subtree",
-        BOUNDED_COUNTS,
+        BOUNDED_N45,
     ),
     (
         SCAN_BOUNDED,
         "end, cap = (r - q) // 2, r - q - d - 3",
         "end, cap = (r - q) // 2, r - q - d - 2",
         "k = 1 family scores one leaf past its last, one part too many",
-        BOUNDED_COUNTS,
+        BOUNDED_N45,
     ),
     (
         SCAN_BOUNDED,
@@ -307,6 +325,69 @@ MUTANTS = [
         "a1 += a0\n        a2 += a1\n        a3 += a2",
         "k = 2 family's Pascal step run bottom-up, adding new sums for old",
         SCAN,
+    ),
+    (
+        SCAN_CHAINS,
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]",
+        "d1, d2, d3, d4 = x[2] - y[2], x[2] - y[2], x[3] - y[3], x[4] - y[4]",
+        "k = 2 family's first difference read from column 2, not 1",
+        CHAIN_SCAN_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]",
+        "d1, d2, d3, d4 = x[1] - y[1], x[3] - y[3], x[3] - y[3], x[4] - y[4]",
+        "k = 2 family's second difference read from column 3, not 2",
+        CHAIN_SCAN_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]",
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[4] - y[4], x[4] - y[4]",
+        "k = 2 family's third difference read from column 4, not 3",
+        CHAIN_SCAN_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[4] - y[4]",
+        "d1, d2, d3, d4 = x[1] - y[1], x[2] - y[2], x[3] - y[3], x[5] - y[5]",
+        "k = 2 family's fourth difference read from column 5, not 4",
+        CHAIN_SCAN_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "g1, g2, g3 = g1 + g0, g2 + g1, g3 + g2",
+        "g1, g2, g3 = g1 + g0, g2 + g1, g3 + g1",
+        "k = 2 families' Pascal step up R adds the wrong sum to G_3",
+        CHAIN_SCAN_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "h1, h2, h3 = h1 + h0, h2 + h1, h3 + h2\n            at = R",
+        "at = R",
+        "k = 2 families move only the first path's sums up R",
+        EVERY_LEAF_2,
+    ),
+    (
+        SCAN_CHAINS,
+        "cut = pascal[rest + 1 - 2 * q]",
+        "cut = pascal[rest - 2 * q]",
+        "k = 2 leaf's sink row one low",
+        PAIR_WALK,
+    ),
+    (
+        SCAN_CHAINS,
+        "cut = pascal[rest + 1 - 2 * q]",
+        "cut = pascal[rest + 2 - 2 * q]",
+        "k = 2 leaf's sink row one high",
+        PAIR_WALK,
+    ),
+    (
+        SCAN_CHAINS,
+        "if value >= best:\n            best = _keep(value, best, winners, rest - q, (q, path))",
+        "if value > best:\n            best = _keep(value, best, winners, rest - q, (q, path))",
+        "k = 2 leaf that ties the best is not kept",
+        CHAIN_SCAN_2,
     ),
     (
         SCAN_CHAINS,

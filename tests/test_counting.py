@@ -24,7 +24,7 @@ from subpart.counting import (
 from subpart.partitions import Partition, ResourceLimitError, profile
 
 
-FROZEN_COUNTS = {
+FROZEN = {
     (): 1,
     (1,): 2,
     (2, 1): 5,
@@ -37,7 +37,7 @@ FROZEN_COUNTS = {
 
 
 def test_count_subpartitions_frozen():
-    for parts, want in FROZEN_COUNTS.items():
+    for parts, want in FROZEN.items():
         res = count_subpartitions(Partition(parts))
         assert res.value == want
         assert res.method == ROW_DP

@@ -9,6 +9,7 @@ import pytest
 
 from forks import assert_no_child, count_forks, open_fds
 from subpart import verify
+from subpart.partitions import Partition
 from subpart.verify import CHECKS, FAST, random_shape, run_verification
 
 
@@ -57,7 +58,18 @@ def test_sabotage_fails_only_its_check(monkeypatch, attr, sabotaged, check):
     assert failed == {check}
 
 
-def test_chain_count_mismatch_names_the_determinant(monkeypatch):
+@pytest.fixture
+def empty_caches():
+    """Empty verify's per-run caches around a test that fills them outside
+    a run, so that no value it made outlives it."""
+    for helper in verify._PER_RUN:
+        helper.cache_clear()
+    yield
+    for helper in verify._PER_RUN:
+        helper.cache_clear()
+
+
+def test_chain_count_mismatch_names_the_determinant(monkeypatch, empty_caches):
     # the package counts chains by the Gessel-Viennot determinant alone
     real = verify.count_kchains
 
@@ -65,21 +77,23 @@ def test_chain_count_mismatch_names_the_determinant(monkeypatch):
         return SimpleNamespace(value=real(lam, k, strict=strict).value + 1)
 
     monkeypatch.setattr(verify, "count_kchains", off_by_one)
-    # a check called outside a run fills a table of its own
-    monkeypatch.setattr(verify, "_COUNTS", {})
     passed, detail = verify.check_counting_brute_force(FAST, random.Random(0))
     assert not passed
     assert detail == "chain count mismatch at , k=1, strict=False: determinant 2, poset 1"
 
 
-def test_no_count_outlives_its_run(monkeypatch):
-    # a count or a scan left in this process's table, here a wrong one (the
-    # report of n = 5 filed under (4, 1)), is not served to the forked half,
-    # which starts from a copy of that table
-    monkeypatch.setitem(verify._COUNTS, ((1,), 1, False), 0)
-    monkeypatch.setitem(verify._COUNTS, (4, 1), verify.find_maximizers(5, 1))
+def test_no_count_outlives_its_run(monkeypatch, empty_caches):
+    # a count or a scan left in this process's caches, here wrong ones (a
+    # 1-chain count of 0 for (1), the report of n = 5 for (4, 1)), is not
+    # served to the forked half, which starts from a copy of them
+    wrong_scan = verify.find_maximizers(5, 1)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "count_kchains", lambda lam, k, strict: SimpleNamespace(value=0))
+        m.setattr(verify, "find_maximizers", lambda n, k: wrong_scan)
+        verify._chains(Partition((1,)), 1, False)
+        verify._scan(4, 1)
     assert all(r.passed for r in run_verification("fast", seed=7))
-    assert verify._COUNTS == {}
+    assert not any(helper.cache_info().currsize for helper in verify._PER_RUN)
     # nor, in one process, is one served from one run to the next
     calls = Counter()
 
@@ -90,22 +104,28 @@ def test_no_count_outlives_its_run(monkeypatch):
 
         return call
 
-    for name in ("count_subpartitions", "count_kchains", "find_maximizers"):
+    names = (
+        "count_subpartitions", "count_kchains", "find_maximizers", "profile", "enumerate_partitions"
+    )
+    for name in names:
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     monkeypatch.delattr(os, "fork")
     made = []
     for _ in range(2):
         calls.clear()
         assert all(r.passed for r in run_verification("fast", seed=7))
-        assert verify._COUNTS == {}
+        assert not any(helper.cache_info().currsize for helper in verify._PER_RUN)
         made.append(dict(calls))
-    assert made[0] == made[1] and made[0]["count_kchains"] > 0
-    # each (n, k) is scanned once a half: the forked half's 26, and the two
-    # that csv-determinism and json-roundtrip make for themselves, since
-    # the table's reports are not what they render
-    assert made[0]["find_maximizers"] == 28
+    # each value is computed once a half, so a cache that stopped holding
+    # one kind of value changes its count; find_maximizers: the forked
+    # half's 26 scans, and the two that csv-determinism and json-roundtrip
+    # make for themselves, since the cached reports are not what they render
+    assert made == [dict(zip(names, (68, 135, 28, 142, 84)))] * 2
+    with monkeypatch.context() as m:
+        m.setattr(verify, "find_maximizers", lambda n, k: None)
+        verify._scan(10, 2)
+        verify._scan(6, 2)
     calls.clear()
-    monkeypatch.setattr(verify, "_COUNTS", {(10, 2): None, (6, 2): None})
     for check in (verify.check_csv_determinism, verify.check_json_roundtrip):
         assert check(FAST, random.Random(0))[0]
     assert calls["find_maximizers"] == 2
