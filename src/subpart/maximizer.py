@@ -25,12 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .counting import (
-    CountResult,
-    ROW_DP,
-    TRANSFER_CHAIN,
-    _partition_numbers,
-)
+from .counting import _partition_numbers
 from .partitions import (
     DEFAULT_SCAN_CAP,
     DEFAULT_STATE_CAP,
@@ -38,7 +33,6 @@ from .partitions import (
     Record,
     ResourceLimitError,
     conjugate,
-    format_partition,
     profile,
 )
 from .ratefn import VershikCurve, shape_functional
@@ -51,7 +45,7 @@ class MaximizerReport(Record):
     n: int
     k: int
     maximizers: tuple[Partition, ...]
-    max_count: CountResult
+    max_count: int
     exponent: float
     hr_reference: float
     distance_to_vershik: float
@@ -68,11 +62,13 @@ class ShapeReport(Record):
     envelope_functional: float
 
 
-def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
+def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int, int]:
     """The largest weak k-chain count over the partitions of n, the parts
-    of every partition reaching it, in no particular order, and the number
-    of leaves scored: at k >= 2 one per partition of n with
-    lam_1 >= len(lam), at k = 1 only those of the subtrees not pruned.
+    of every partition reaching it, in no particular order, the number of
+    leaves scored, at k >= 2 one per partition of n with lam_1 >= len(lam),
+    at k = 1 only those of the subtrees not pruned, and the number of nodes
+    the kernel popped: the root and the nodes with grandchildren that its
+    walk pushed (at k = 2 only those whose children have grandchildren).
 
     Depth-first over partitions built from the smallest part upward: a
     node has placed d parts up to p with r still to place, its leaf puts
@@ -108,13 +104,13 @@ def _scan_maxima(n: int, k: int) -> tuple[int, list[tuple[int, ...]], int]:
     if k == 1:
         from .scan_bounded import _scan_bounded
 
-        best, leaves = _scan_bounded(n, last, best, winners)
+        best, leaves, pops = _scan_bounded(n, last, best, winners)
     else:
         from .scan_chains import _scan_chains
 
-        best, leaves = _scan_chains(n, k, last, best, winners)
+        best, leaves, pops = _scan_chains(n, k, last, best, winners)
     winners += [conjugate(Partition(parts)).parts for parts in winners if parts[0] > len(parts)]
-    return best, winners, 1 + max(0, last) + leaves
+    return best, winners, 1 + max(0, last) + leaves, pops
 
 
 def _keep(value: int, best: int, winners: list[tuple[int, ...]], top: int, path) -> int:
@@ -138,7 +134,7 @@ def find_maximizers(n: int, k: int = 1, cap: int = DEFAULT_SCAN_CAP) -> Maximize
     Refuses upfront, through ``check_scan``; nothing partial is kept.
     """
     check_scan(n, k, cap)
-    best, winners, _ = _scan_maxima(n, k)
+    best, winners, _, _ = _scan_maxima(n, k)
     return maximizer_report(n, k, best, winners)
 
 
@@ -153,17 +149,12 @@ def maximizer_report(n: int, k: int, best: int, winners: list[tuple[int, ...]]) 
     k-chain count ``best`` is reached by the partitions with the parts in
     ``winners``, given in any order."""
     maximizers = tuple(Partition(parts) for parts in sorted(winners, reverse=True))
-    first = maximizers[0]
-    shape = rescale(profile(first), n)
+    shape = rescale(profile(maximizers[0]), n)
     return MaximizerReport(
         n=n,
         k=k,
         maximizers=maximizers,
-        max_count=CountResult(
-            value=best,
-            method=ROW_DP if k == 1 else TRANSFER_CHAIN,
-            params={"partition": format_partition(first), "k": k, "strict": False},
-        ),
+        max_count=best,
         exponent=math.log(best) / math.sqrt(n),
         hr_reference=k * HR_RATE,
         distance_to_vershik=sup_distance(shape, VershikCurve()),

@@ -106,6 +106,11 @@ class Partition(Record):
     def n(self) -> int:
         return sum(self.parts)
 
+    def _key(self) -> tuple:
+        # the base key, without its walk over the field names: every
+        # cache keyed by a Partition hashes through here
+        return (self.parts,)
+
     def __len__(self) -> int:
         return len(self.parts)
 

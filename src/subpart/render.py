@@ -68,7 +68,7 @@ def report_payload(report: MaximizerReport) -> dict:
         "n": report.n,
         "k": report.k,
         "maximizers": [format_partition(m) for m in report.maximizers],
-        "max_count": str(report.max_count.value),
+        "max_count": str(report.max_count),
         "exponent": report.exponent,
         "hr_reference": report.hr_reference,
         "distance_to_vershik": report.distance_to_vershik,
@@ -80,7 +80,7 @@ def report_row(report: MaximizerReport) -> list[str]:
         str(report.n),
         str(report.k),
         ";".join(format_partition(m) for m in report.maximizers),
-        str(report.max_count.value),
+        str(report.max_count),
         repr(report.exponent),
         repr(report.hr_reference),
         repr(report.distance_to_vershik),
@@ -101,7 +101,7 @@ def report_text(report: MaximizerReport) -> str:
         f"n {report.n}",
         f"k {report.k}",
         "maximizers " + "; ".join(format_partition(m) for m in report.maximizers),
-        f"max_count {report.max_count.value}",
+        f"max_count {report.max_count}",
         f"exponent {report.exponent:.9f}",
         f"hr_reference {report.hr_reference:.9f}",
         f"distance_to_vershik {report.distance_to_vershik:.9f}",

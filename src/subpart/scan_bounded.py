@@ -29,21 +29,26 @@ from .maximizer import _keep
 _SEED_FROM = 20
 
 
-def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) -> tuple[int, int]:
+def _scan_bounded(
+    n: int, last: int, best: int, winners: list[tuple[int, ...]]
+) -> tuple[int, int, int]:
     """The k = 1 kernel of ``_scan_maxima``: score the root's family, then
     walk the tree by branch and bound (Land and Doig, Econometrica 28,
-    1960); returns the new best and the number of leaves scored below the
-    root's children.
+    1960); returns the new best, the number of leaves scored below the
+    root's children and the number of nodes popped.
 
-    A node's row counts (``_row_step``) lift to L with total T, and child
-    q lifts L + [T] * (q - p); the node's leaf has sum(L) + (r - p) T
-    subpartitions.  Write tc, c0 and c1 for the total and sum of child q's
-    lifted vector and the sum of its prefix sums: at q = p they are
-    sum(L), sum(accumulate(L)) and sum(accumulate(accumulate(L))), and one
-    more part appends T to the child's vector, which adds T to tc, the new
-    tc to c0 and the new c0 to c1.  By the same rule, a family node of
-    total T' whose leaf q' lifts to total t and sum c gives that leaf the
-    count V(q') = c + (rest - 2q') t, so
+    A node's row counts, counts[v] the fillings of its top row (length p)
+    and the rows below it that put v in that row, lift to their prefix
+    sums L with total T, so one step of the row DP serves every child:
+    child q lifts L + [T] * (q - p), and the node's leaf has
+    sum(L) + (r - p) T subpartitions.  Write tc, c0 and c1 for the total
+    and sum of child q's lifted vector and the sum of its prefix sums: at
+    q = p they are sum(L), sum(accumulate(L)) and
+    sum(accumulate(accumulate(L))), and one more part appends T to the
+    child's vector, which adds T to tc, the new tc to c0 and the new c0 to
+    c1.  By the same rule, a family node of total T' whose leaf q' lifts
+    to total t and sum c gives that leaf the count V(q') = c + (rest - 2q') t,
+    so
     V(q' + 1) - V(q') = T' (rest - 2q' - 1) - t, a step that falls by 3T' a
     part: 2T' as rest - 2q' shrinks and T' as t grows.  Child q's family,
     with rest = r - q, is thus walked by second differences (``_family``)
@@ -94,12 +99,13 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
     if seed > best:
         winners.clear()
         best = seed
-    bounds, leaves = _bound_table(n), 0
+    bounds, leaves, pops = _bound_table(n), 0, 0
     # a node: its path, the counts of its top row, its largest part, its
     # number of parts, the rest of n
     stack = [(None, [1, 0], 1, 0, n)]
     while stack:
         path, counts, p, d, r = stack.pop()
+        pops += 1
         # each limit is the smaller of two terms, compared inline: a call
         # of the builtin min() costs about three comparisons here; deep is
         # read only as q <= deep with q <= split, so split is not a term
@@ -109,7 +115,8 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
         deep, cap = r // 4, (r - d - 4) // 3
         if cap < deep:
             deep = cap
-        lifted, total = _row_step(counts)
+        lifted = list(accumulate(counts))
+        total = lifted[-1]
         sums = list(accumulate(lifted))
         tc, c0, c1 = sum(lifted), sum(sums), sum(accumulate(sums))
         kids = []
@@ -132,22 +139,7 @@ def _scan_bounded(n: int, last: int, best: int, winners: list[tuple[int, ...]]) 
             c1 += c0
         # the smallest q is popped first
         stack += reversed(kids)
-    return best, leaves
-
-
-def _row_step(counts: list[int]) -> tuple[list[int], int]:
-    """One step of the row DP at a node of ``_scan_bounded``.
-
-    ``counts[v]`` counts the fillings of the current row (length p) and the
-    rows below it that put value v in the current row, 0 <= v <= p.
-    Returns the prefix sums ``lifted`` and their total T.  A row of any
-    length q >= p placed on top then has the counts
-    ``lifted + [T] * (q - p)``, so one step serves every choice of q, and
-    the partition capped by that row has ``sum(lifted) + (q - p) * T``
-    subpartitions.
-    """
-    lifted = list(accumulate(counts))
-    return lifted, lifted[-1]
+    return best, leaves, pops
 
 
 def _seed(n: int) -> int:

@@ -19,12 +19,14 @@ from .counting import _leading_minors, _lift
 from .maximizer import _keep
 
 
-def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, ...]]) -> tuple[int, int]:
+def _scan_chains(
+    n: int, k: int, last: int, best: int, winners: list[tuple[int, ...]]
+) -> tuple[int, int, int]:
     """The k >= 2 kernel of ``_scan_maxima``: score the root's family, then
-    every leaf of the tree; returns the new best and the number of leaves
-    scored below the root's children.  The walk is exhaustive: the bounds
-    tried at k >= 2 ignore the determinant's cancellation and prune almost
-    nothing.
+    every leaf of the tree; returns the new best, the number of leaves
+    scored below the root's children and the number of nodes popped.  The
+    walk is exhaustive: the bounds tried at k >= 2 ignore the
+    determinant's cancellation and prune almost nothing.
 
     A leaf's count is the determinant of its k x k Gessel-Viennot matrix,
     the one ``counting._chain_matrix`` joins at lam_1's strip (c = 1),
@@ -72,9 +74,8 @@ def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, 
     scored by their parent (106 of the 186 nodes with grandchildren at
     n = 28, 1,966 of 3,203 at n = 45).  A pushed node takes its sums at
     base n for j = 0..4, as sum(L_s) and four dot products with the
-    table's columns C(n - x, j) (``_binomial_sums`` now serves k >= 3
-    only).  Child q lifts L_s + [T_s] * (q - p), so by the hockey-stick
-    identity its sums are
+    table's columns C(n - x, j).  Child q lifts L_s + [T_s] * (q - p), so
+    by the hockey-stick identity its sums are
     G'_{s,j}(n) = G_{s,j+1}(n) + G_{s,j}(n)
     + T_s (C(n + 1 - p, j + 2) - C(n + 1 - q, j + 2)) - T'_s C(n - q, j + 1),
     j = 0..3, with totals T'_s = G_{s,0}(n) + (q - p) T_s: O(1) ints a
@@ -93,12 +94,13 @@ def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, 
             best = _pair_family(*ws[0], *ws[1], 1, last, n, pascal, best, winners, None)
         else:
             best = _chain_family(ws, 1, last, n, pascal, best, winners, None)
-    leaves = 0
+    leaves = pops = 0
     # a node: its path, the counts of its top row for each chain path
     # started below it, its largest part, its number of parts, the rest of n
     stack = [(None, [[0, 1], [1, -1]] if k == 2 else [[0] * (k - 1) + [1]], 0, 0, n)]
     while stack:
         path, counts, p, d, r = stack.pop()
+        pops += 1
         first = p or 1
         # each limit is the smaller of two terms, compared inline, not by a
         # call of min(); push <= deep <= split needs no third term, as
@@ -159,7 +161,7 @@ def _scan_chains(n: int, k: int, last: int, best: int, winners: list[tuple[int, 
                     q, d + 1, r - q, n, pascal, best, winners, (q, path),
                 )
                 leaves += found
-    return best, leaves
+    return best, leaves, pops
 
 
 def _child_sums(

@@ -662,8 +662,8 @@ def check_hr_exponent(caps: VerifyCaps, rng) -> tuple[bool, str]:
 def check_maximizer_ground_truth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     report = _scan(4, 1)
     got = {m.parts for m in report.maximizers}
-    if got != {(3, 1), (2, 1, 1)} or report.max_count.value != 7:
-        return False, f"n=4 maximizers {got}, count {report.max_count.value}"
+    if got != {(3, 1), (2, 1, 1)} or report.max_count != 7:
+        return False, f"n=4 maximizers {got}, count {report.max_count}"
     # cross-check k=2 against the poset brute force
     brute = {
         parts: oracles.poset_chain_counts(parts, 2)[0][-1] for parts in enumerate_partitions(4)
@@ -672,7 +672,7 @@ def check_maximizer_ground_truth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     expect = {p for p, v in brute.items() if v == best}
     report2 = _scan(4, 2)
     got2 = {m.parts for m in report2.maximizers}
-    if got2 != expect or report2.max_count.value != best:
+    if got2 != expect or report2.max_count != best:
         return False, f"n=4 k=2 maximizers {got2} vs brute {expect}"
     return True, f"n=4: k=1 -> {{(3,1),(2,1,1)}} at 7; k=2 -> {sorted(got2)} at {best}"
 
@@ -688,7 +688,7 @@ def check_maximizer_closure(caps: VerifyCaps, rng) -> tuple[bool, str]:
             if any(conjugate(Partition(parts)).parts not in have for parts in winners):
                 return False, f"k={k} per-partition argmax not closed at n={n}"
             report = _scan(n, k)
-            if report.max_count.value != best or {m.parts for m in report.maximizers} != have:
+            if report.max_count != best or {m.parts for m in report.maximizers} != have:
                 return False, f"k={k} scan argmax differs from per-partition argmax at n={n}"
     return True, (
         "per-partition argmax closed and equal to the scan's, "
@@ -700,9 +700,9 @@ def check_maximizer_growth(caps: VerifyCaps, rng) -> tuple[bool, str]:
     prev = 0
     for n in range(1, caps.sequence_n + 1):
         report = _scan(n, 1)
-        if report.max_count.value <= prev:
+        if report.max_count <= prev:
             return False, f"max count not strictly increasing at n={n}"
-        prev = report.max_count.value
+        prev = report.max_count
         if report.exponent >= report.hr_reference:
             return False, f"exponent gap closed at n={n}"
     return True, f"strictly increasing with positive exponent gap, n <= {caps.sequence_n}"
@@ -737,7 +737,7 @@ def check_chain_maximizer_comparison(caps: VerifyCaps, rng) -> tuple[bool, str]:
     differ = []
     for n in range(1, caps.closure_chain_n + 1):
         one, two = _scan(n, 1), _scan(n, 2)
-        m1, m2 = one.max_count.value, two.max_count.value
+        m1, m2 = one.max_count, two.max_count
         if not m1 < m2 < m1 * m1:
             return False, f"M1={m1}, M2={m2} break M1 < M2 < M1^2 at n={n}"
         if any(_chains(lam, 2, False) > m2 for lam in one.maximizers):

@@ -27,7 +27,7 @@ def test_maximizers_are_actual_maxima():
     for n in range(1, 31):
         best, winners = oracles.scan_maximizers(n, 1)
         report = find_maximizers(n)
-        assert report.max_count.value == best
+        assert type(report.max_count) is int and report.max_count == best
         assert report.maximizers == tuple(Partition(p) for p in sorted(winners, reverse=True))
         for lam in report.maximizers:
             assert count_bridges_below(profile(lam)).value == best
@@ -101,29 +101,19 @@ def _nodes_with_descendants(n, generations):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_scan_pushes_only_nodes_with_grandchildren(k):
-    # one lift per popped node: the root and the nodes with grandchildren,
-    # at k = 2 only those whose children have grandchildren; every leaf is
+    # the popped nodes are the root and the nodes with grandchildren, at
+    # k = 2 only those whose children have grandchildren; every leaf is
     # scored by its grandparent, the root's own as C(n + k, k) and its
     # children's as the root's family, and at k = 2 a child none of whose
     # children has grandchildren is scored by its parent from derived sums
     # (k = 1 prunes: test_bounded_scan_counts_at_n45)
-    step, pops = scan_chains._lift, []
     generations = 3 if k == 2 else 2
-
-    def counted(*args):
-        pops.append(args)
-        return step(*args)
-
-    with mock.patch.object(scan_chains, "_lift", counted):
-        for n in range(1, 31):
-            pops.clear()
-            _scan_maxima(n, k)
-            assert len(pops) == 1 + _nodes_with_descendants(n, generations)
-        if k == 2:
-            assert 1 + _nodes_with_descendants(28, 3) == 81
-            pops.clear()
-            assert _scan_maxima(45, k)[2] == 46767
-            assert len(pops) == 1 + _nodes_with_descendants(45, 3) == 1238
+    for n in range(1, 31):
+        assert _scan_maxima(n, k)[3] == 1 + _nodes_with_descendants(n, generations)
+    if k == 2:
+        assert _scan_maxima(28, k)[2:] == (1975, 81)
+        assert _scan_maxima(45, k)[2:] == (46767, 1238)
+        assert 1 + _nodes_with_descendants(45, 3) == 1238
 
 
 @st.composite
@@ -184,7 +174,7 @@ def test_bounded_scan_prunes_only_below_the_best():
     with mock.patch.object(scan_bounded, "_family", walked):
         for n in range(1, 31):
             scored[:] = [(n,)]  # the root's leaf, C(n + 1, 1)
-            best, _, leaves = _scan_maxima(n, 1)
+            best, _, leaves, _ = _scan_maxima(n, 1)
             bounds = scan_bounded._bound_table(n)
             assert len(scored) == len(set(scored)) == leaves
             kept = set(scored)
@@ -310,24 +300,16 @@ def test_maximizers_pinned_in_file(k, name, top):
     assert [int(line[0]) for line in lines] == list(range(1, top + 1))
     for n, value, *winners in lines:
         report = find_maximizers(int(n), k, cap=200_000_000)
-        assert report.max_count.value == int(value)
+        assert report.max_count == int(value)
         assert report.maximizers == tuple(
             Partition(tuple(map(int, w.split(",")))) for w in winners
         )
 
 
 def test_bounded_scan_counts_at_n45():
-    # one row step per popped node; the exhaustive scan scored 46,767
-    # leaves in 3,204 pops, the unseeded branch and bound 11,056 in 876
-    step, pops = scan_bounded._row_step, []
-
-    def counted(*args):
-        pops.append(args)
-        return step(*args)
-
-    with mock.patch.object(scan_bounded, "_row_step", counted):
-        assert _scan_maxima(45, 1)[2] == 8423
-    assert len(pops) == 679
+    # the leaves scored and the nodes popped; the exhaustive scan scored
+    # 46,767 leaves in 3,204 pops, the unseeded branch and bound 11,056 in 876
+    assert _scan_maxima(45, 1)[2:] == (8423, 679)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -337,7 +319,7 @@ def test_chain_scan_matches_per_partition_counts(k):
     for n in range(1, 19):
         best, winners = oracles.scan_maximizers(n, k)
         report = find_maximizers(n, k)
-        assert report.max_count.value == best
+        assert type(report.max_count) is int and report.max_count == best
         assert report.maximizers == tuple(Partition(p) for p in sorted(winners, reverse=True))
 
 
@@ -352,7 +334,7 @@ def test_chain_scan_matches_per_partition_counts(k):
 )
 def test_chain_maximizers_pinned(n, k, value, maximizers):
     report = find_maximizers(n, k)
-    assert report.max_count.value == value
+    assert report.max_count == value
     assert report.maximizers == tuple(Partition(p) for p in maximizers)
 
 

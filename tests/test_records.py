@@ -32,7 +32,7 @@ RECORDS = [
     (
         MaximizerReport,
         ("n", "k", "maximizers", "max_count", "exponent", "hr_reference", "distance_to_vershik"),
-        (4, 1, (Partition((2, 1, 1)), Partition((3, 1))), COUNT, 1.25, 2.5, 0.125),
+        (4, 1, (Partition((2, 1, 1)), Partition((3, 1))), 7, 1.25, 2.5, 0.125),
     ),
     (
         ShapeReport,
