@@ -198,19 +198,22 @@ def _all_digits():
 
 def cmd_count(args) -> int:
     lam = parse_partition(args.partition)
+    text = format_partition(lam)
     if args.k == 1 and not args.strict:
         result = count_subpartitions(lam)
+        params = {"partition": text}
     else:
         result = count_kchains(lam, args.k, strict=args.strict)
+        params = {"partition": text, "k": args.k, "strict": args.strict}
     # a count inside the caps can pass the limit (the 7200 x 7200 square
     # has 4,333 digits); the other commands' values stay far below it
     with _all_digits():
         value = str(result.value)
         rows = [
             ["partition", "k", "strict", "value", "method"],
-            [format_partition(lam), str(args.k), str(args.strict).lower(), value, result.method],
+            [text, str(args.k), str(args.strict).lower(), value, result.method],
         ]
-        payload = render.count_payload(result)
+        payload = render.count_payload(result, params)
         _emit(render.document(args.format, payload, rows, f"{value}\n"), args)
     return 0
 
@@ -218,7 +221,7 @@ def cmd_count(args) -> int:
 def cmd_pn(args) -> int:
     result = partition_count(args.n)
     rows = [["n", "value"], [str(args.n), str(result.value)]]
-    payload = render.count_payload(result)
+    payload = render.count_payload(result, {"n": args.n})
     _emit(render.document(args.format, payload, rows, f"{result.value}\n"), args)
     return 0
 

@@ -41,7 +41,6 @@ from .partitions import (
     Partition,
     Record,
     ResourceLimitError,
-    format_partition,
 )
 
 ROW_DP = "row-dp"
@@ -58,18 +57,10 @@ FORK_CELLS = 1 << 16
 
 
 class CountResult(Record):
-    """An exact count plus the algorithm and parameters that produced it;
-    equality and the hash leave ``params`` out."""
+    """An exact count and the algorithm that produced it."""
 
     value: int
     method: str
-    params: dict[str, object]
-
-    def __init__(self, value: int, method: str, params: dict[str, object] | None = None) -> None:
-        self.__dict__.update(value=value, method=method, params={} if params is None else params)
-
-    def _key(self) -> tuple:
-        return (self.value, self.method)
 
 
 def count_subpartitions(lam: Partition) -> CountResult:
@@ -77,11 +68,7 @@ def count_subpartitions(lam: Partition) -> CountResult:
     empty partition included): the 1 x 1 Gessel-Viennot matrix of
     ``_weak_chains``, the row DP up to the half-area strip joined with
     the sink weights carried down to it."""
-    return CountResult(
-        value=_weak_chains(lam.parts, 1)[0],
-        method=ROW_DP,
-        params={"partition": format_partition(lam)},
-    )
+    return CountResult(_weak_chains(lam.parts, 1)[0], ROW_DP)
 
 
 def count_bridges_below(prof: LatticeProfile) -> CountResult:
@@ -99,11 +86,7 @@ def count_bridges_below(prof: LatticeProfile) -> CountResult:
                 if abs(j) <= h2 <= ceiling:
                     new[h2] = new.get(h2, 0) + c
         ways = new
-    return CountResult(
-        value=ways.get(abs(prof.hi), 0),
-        method=BRIDGE_DP,
-        params={"window": [prof.lo, prof.hi]},
-    )
+    return CountResult(ways.get(abs(prof.hi), 0), BRIDGE_DP)
 
 
 def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
@@ -131,11 +114,7 @@ def count_kchains(lam: Partition, k: int, strict: bool = False) -> CountResult:
     value = weak[-1]
     if strict:
         value = sum((-1) ** (k - m) * math.comb(k - 1, m - 1) * w for m, w in enumerate(weak, 1))
-    return CountResult(
-        value=value,
-        method=TRANSFER_CHAIN,
-        params={"partition": format_partition(lam), "k": k, "strict": strict},
-    )
+    return CountResult(value, TRANSFER_CHAIN)
 
 
 def _weak_chains(parts: tuple[int, ...], k: int) -> list[int]:
@@ -409,7 +388,7 @@ def partition_count(n: int) -> CountResult:
     if n > DEFAULT_STATE_CAP:
         raise ResourceLimitError(f"p({n}) table exceeds cap {DEFAULT_STATE_CAP}")
     value = next(islice(_partition_numbers(), n, None))
-    return CountResult(value=value, method=PENTAGONAL_ITERATIVE, params={"n": n})
+    return CountResult(value, PENTAGONAL_ITERATIVE)
 
 
 def _partition_numbers() -> Iterator[int]:

@@ -39,7 +39,7 @@ class Record:
     A record's fields are the names its class annotates, in order (a
     subclass adds its own after its base's).  The base ``__init__`` takes
     them by position or by name and stores them through ``__dict__``; a
-    class that validates, normalizes or defaults a field defines its own.
+    class that validates or normalizes a field defines its own.
     Records compare equal only to records of the same class with equal
     ``_key()``, by default every field; the hash is the hash of that key,
     and the repr names every field.

@@ -47,11 +47,11 @@ def to_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def count_payload(result: CountResult) -> dict:
+def count_payload(result: CountResult, params: dict) -> dict:
     return {
         "value": str(result.value),
         "method": result.method,
-        "params": result.params,
+        "params": params,
     }
 
 

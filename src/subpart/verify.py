@@ -769,7 +769,7 @@ def check_json_roundtrip(caps: VerifyCaps, rng) -> tuple[bool, str]:
     import json
 
     payloads = [
-        render.count_payload(count_subpartitions(Partition((3, 1)))),
+        render.count_payload(count_subpartitions(Partition((3, 1))), {"partition": "3,1"}),
         render.report_payload(find_maximizers(6, 2)),
         render.bound_payload("2,1", envelope_count_bound(profile(Partition((2, 1))))),
     ]

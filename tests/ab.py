@@ -8,10 +8,13 @@ run in pairs, one per tree, alternating which goes first; each warms the
 case up once and prints the median of its rounds.  The script prints each
 tree's median over the pairs (BASE's with its quartiles), HEAD/BASE, the
 pairs HEAD won, and the lowest and highest ratio of three A/A pairs of
-HEAD against itself: the noise a HEAD/BASE ratio is read against.
+HEAD against itself: the noise a HEAD/BASE ratio is read against.  After
+each case's line it prints the same figures as one JSON object, the
+record a perf change keeps beside its numbers.
 """
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
@@ -86,14 +89,26 @@ def main(argv):
             median_ms(args.head, name, args.rounds) / median_ms(args.head, name, args.rounds)
             for _ in range(3)
         ]
+        base, head = statistics.median(a), statistics.median(b)
+        won = sum(map(float.__lt__, b, a))
         print(
-            f"{name}: base {statistics.median(a):.2f} ms (q1 {q1:.2f}, q3 {q3:.2f}), "
-            f"head {statistics.median(b):.2f} ms, head/base "
-            f"{statistics.median(b) / statistics.median(a):.3f}, "
-            f"head won {sum(map(float.__lt__, b, a))}/{args.pairs}; "
-            f"A/A {min(aa):.3f} to {max(aa):.3f}",
-            flush=True,
+            f"{name}: base {base:.2f} ms (q1 {q1:.2f}, q3 {q3:.2f}), "
+            f"head {head:.2f} ms, head/base {head / base:.3f}, "
+            f"head won {won}/{args.pairs}; A/A {min(aa):.3f} to {max(aa):.3f}"
         )
+        record = {
+            "case": name,
+            "base_ms": base,
+            "base_q1_ms": q1,
+            "base_q3_ms": q3,
+            "head_ms": head,
+            "head_over_base": head / base,
+            "head_won": won,
+            "pairs": args.pairs,
+            "aa_min": min(aa),
+            "aa_max": max(aa),
+        }
+        print(json.dumps(record), flush=True)
 
 
 if __name__ == "__main__":

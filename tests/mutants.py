@@ -535,6 +535,27 @@ MUTANTS = [
         GOLDEN_FAST,
     ),
     (
+        CLI,
+        'params = {"partition": text, "k": args.k, "strict": args.strict}',
+        'params = {"partition": text, "k": args.k}',
+        "count's chain params leave out strict",
+        GOLDEN_FAST,
+    ),
+    (
+        CLI,
+        "if args.k == 1 and not args.strict:",
+        "if args.k == 1:",
+        "count --k 1 --strict goes to the row DP and prints its params",
+        GOLDEN_FAST,
+    ),
+    (
+        CLI,
+        'render.count_payload(result, {"n": args.n})',
+        "render.count_payload(result, {})",
+        "pn's JSON params leave out n",
+        GOLDEN_FAST,
+    ),
+    (
         RENDER,
         '"max_count": str(report.max_count),',
         '"max_count": report.max_count,',
@@ -627,8 +648,8 @@ MUTANTS = [
     ),
     (
         COUNTING,
-        "method=BRIDGE_DP,",
-        "method=ROW_DP,",
+        "ways.get(abs(prof.hi), 0), BRIDGE_DP)",
+        "ways.get(abs(prof.hi), 0), ROW_DP)",
         "count_bridges_below names the row DP as its method",
         ["tests/test_counting.py::test_meet_in_the_middle_on_a_seeded_400_part_partition"],
     ),
@@ -820,22 +841,6 @@ MUTANTS = [
         "return (self.parts,)",
         "return self.parts",
         "a Partition hashes as its parts, not as its field tuple",
-        RECORDS,
-    ),
-    (
-        COUNTING,
-        "    def _key(self) -> tuple:\n        return (self.value, self.method)\n",
-        "",
-        "CountResult compares its params",
-        RECORDS,
-    ),
-    (
-        COUNTING,
-        "params: dict[str, object] | None = None) -> None:\n"
-        "        self.__dict__.update(value=value, method=method, params={} if params is None else params)",
-        "params: dict[str, object] = {}) -> None:\n"
-        "        self.__dict__.update(value=value, method=method, params=params)",
-        "every CountResult built without params shares one dict",
         RECORDS,
     ),
     (

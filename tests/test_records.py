@@ -20,14 +20,13 @@ CAPS_FIELDS = (
     "closure_chain_n", "trend_ns",
 )
 TENT = PiecewiseLinearShape(((-1.0, 1.0), (0.0, 1.5), (1.0, 1.0)))
-COUNT = CountResult(19, "row-dp", {"partition": "4,2,1"})
 
 # (class, field names, field values as stored); every field is compared
-# except CountResult's params, whose cases are below
 RECORDS = [
     (Partition, ("parts",), ((4, 2, 1),)),
     (LatticeProfile, ("lo", "hi", "heights"), (-1, 1, (1, 2, 1))),
     (PiecewiseLinearShape, ("kinks",), (TENT.kinks,)),
+    (CountResult, ("value", "method"), (19, "row-dp")),
     (EnvelopeBound, ("log_value", "value"), (1.5, math.exp(1.5))),
     (
         MaximizerReport,
@@ -123,25 +122,6 @@ def test_annotations_alone_make_a_record_and_a_subclass_adds_fields_last():
 
 def test_envelope_bound_repr():
     assert repr(EnvelopeBound(1.5, 2.0)) == "EnvelopeBound(log_value=1.5, value=2.0)"
-
-
-def test_count_result_params_are_not_compared():
-    assert COUNT == CountResult(19, "row-dp") == CountResult(19, "row-dp", {"other": 1})
-    assert hash(COUNT) == hash(CountResult(19, "row-dp", {})) == hash((19, "row-dp"))
-    assert COUNT != CountResult(19, "bridge-dp", COUNT.params)
-    assert COUNT != CountResult(20, "row-dp", COUNT.params)
-    assert CountResult(value=19, method="row-dp", params={"n": 1}).params == {"n": 1}
-    assert repr(COUNT) == "CountResult(value=19, method='row-dp', params={'partition': '4,2,1'})"
-    with pytest.raises(AttributeError):
-        COUNT.params = {}
-
-
-def test_count_result_default_params_are_fresh_dicts():
-    a, b = CountResult(1, "m"), CountResult(1, "m")
-    assert a.params == {} and b.params == {}
-    assert a.params is not b.params
-    a.params["seen"] = True
-    assert b.params == {}
 
 
 def test_partition_n_is_cached():
